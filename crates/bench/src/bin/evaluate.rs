@@ -94,12 +94,9 @@
 //! incremental-rendering suite (naive full relayout vs cached
 //! subtrees + retained display list, counters only) and writes
 //! `BENCH_paint.json`. `metrics` prints one workload's deterministic
-//! [`RunMetrics`] JSON — CI parity gates diff it between
-//! `GREENWEB_STYLE_CACHE=off` and the default (stripping the `"style"`
-//! counters), between `GREENWEB_SCRIPT_VM=off` and the default
-//! (stripping the `"script"` counters), and between
-//! `GREENWEB_PAINT_INCR=off` and the default (stripping the `"style"`,
-//! `"layout"`, and `"paint"` counters).
+//! [`RunMetrics`] JSON on the production paths — the same setup the
+//! oracle parity test (`tests/oracle_parity.rs`) runs once per oracle
+//! pair side.
 //!
 //! [`RunMetrics`]: greenweb::metrics::RunMetrics
 
@@ -568,7 +565,8 @@ fn bench_report(jobs: Jobs) {
     assert!(identical, "serial and parallel suites diverged");
     // Per-phase pipeline totals from one traced run per workload:
     // simulated-time span durations, so these are deterministic (unlike
-    // the wall-clock numbers above). "script" is the callback stage.
+    // the wall-clock numbers above) and labeled `"clock":"sim"` in the
+    // JSON. "script" is the callback stage.
     // Every workload gets its own breakdown plus a labeled aggregate —
     // a suite-wide number used to hide per-app regressions behind
     // Paper.js, the only app the old report covered.
@@ -602,7 +600,7 @@ fn bench_report(jobs: Jobs) {
         "{{\"suite\":\"micro\",\"cells\":{},\"hardware_parallelism\":{},\"jobs\":{},\
          \"serial_s\":{serial_s:.3},\"parallel_s\":{parallel_s:.3},\"speedup\":{:.2},\
          \"identical\":{identical},\
-         \"phases_ms\":[{}],\
+         \"clock\":\"sim\",\"phases_ms\":[{}],\
          \"phases_ms_aggregate\":{}}}\n",
         workloads.len() * 4,
         Jobs::auto(),
@@ -699,10 +697,10 @@ fn paint_bench_report() {
 /// Runs one workload's full trace under GreenWeb-I and prints its
 /// deterministic metrics JSON. The inferred effect summaries are
 /// attached, so summary-gated invalidation downgrades (and their
-/// containment checks) are live. Two CI parity gates diff this output:
-/// `GREENWEB_STYLE_CACHE=off` vs default, and `GREENWEB_EFFECT_GATE=off`
-/// vs default — both require byte-identical JSON after stripping the
-/// `"style"` counter object.
+/// containment checks) are live. This is the production side of the
+/// oracle parity test's setup: `tests/oracle_parity.rs` runs the same
+/// cell on each pair's naive side and compares the JSON after masking
+/// the counters that pair may change.
 fn metrics_report(workload: &str) {
     let w = greenweb_workloads::by_name(workload)
         .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
@@ -723,13 +721,14 @@ fn metrics_report(workload: &str) {
 /// by the all-pure bottom — a deliberate under-approximation — and the
 /// exit codes invert: violations are *required*.
 fn soundness_command(jobs: Jobs, poison: bool) -> i32 {
-    use greenweb_engine::{App, EffectSummary};
-    use greenweb_workloads::harness::run_many;
-    if poison {
-        // Record violations in the ledger instead of aborting the run on
-        // the engine's containment debug assertion.
-        std::env::set_var("GREENWEB_EFFECT_ASSERT", "off");
-    }
+    use greenweb_engine::{App, EffectSummary, Oracles};
+    use greenweb_workloads::harness::lower;
+    // Poisoned runs record violations in the ledger instead of aborting
+    // on the engine's containment debug assertion.
+    let oracles = Oracles {
+        containment_asserts: !poison,
+        ..Oracles::default()
+    };
     let workloads = greenweb_workloads::all();
     let policies = Policy::paper_set();
     let apps: Vec<App> = workloads
@@ -746,28 +745,29 @@ fn soundness_command(jobs: Jobs, poison: bool) -> i32 {
             app
         })
         .collect();
-    let mut cells = Vec::new();
+    let mut specs = Vec::new();
     let mut labels = Vec::new();
     for (w, app) in workloads.iter().zip(&apps) {
         for policy in &policies {
-            cells.push((app, &w.full, policy));
+            specs.push(lower(app, &w.full, policy).with_oracles(oracles));
             labels.push(format!("{} under {policy}", w.name));
         }
     }
     eprintln!(
         "soundness: {} cell(s) ({} workloads x {} policies, {jobs} worker(s)){}...",
-        cells.len(),
+        specs.len(),
         workloads.len(),
         policies.len(),
         if poison { ", poisoned summaries" } else { "" },
     );
-    let reports = run_many(&cells, jobs);
+    let reports = greenweb_fleet::run_specs(specs, jobs);
     let mut checks = 0u64;
     let mut violations = Vec::new();
     let mut failures = 0usize;
     for (label, report) in labels.iter().zip(reports) {
         match report {
-            Ok(r) => {
+            Ok(outcome) => {
+                let r = outcome.report;
                 checks += r.effect_checks;
                 violations.extend(r.effect_violations.iter().map(|v| format!("{label}: {v}")));
             }

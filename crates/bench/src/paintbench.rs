@@ -3,7 +3,8 @@
 //!
 //! For each of the 12 workloads the suite runs the *micro* interaction
 //! trace twice — once with the incremental render pipeline disabled
-//! (the naive full-relayout oracle, `GREENWEB_PAINT_INCR=off`) and once
+//! (the naive full-relayout oracle, [`OraclePair::PAINT_INCREMENTAL`]'s
+//! naive side) and once
 //! enabled — and reports only deterministic counters: elements laid
 //! out, subtree reuses, dirty elements, damage items, and the
 //! full/partial repaint split. No wall-clock number participates in
@@ -12,10 +13,10 @@
 //! The suite's acceptance gate encodes the incremental-rendering
 //! contract (DESIGN.md §6k):
 //!
-//! * **the oracle agrees** — frames, inputs, energy, and busy time of
-//!   the incremental run equal the naive run's, per workload. Pricing
-//!   inputs are computed identically in both modes; the flag only
-//!   gates the cache-reuse machinery;
+//! * **the oracle agrees** — the incremental run's metrics JSON, masked
+//!   by [`OraclePair::PAINT_INCREMENTAL`], equals the naive run's, per
+//!   workload. Pricing inputs are computed identically in both modes;
+//!   the flag only gates the cache-reuse machinery;
 //! * **the caches engage** — across the suite the incremental path
 //!   measures ≥ 3× fewer elements than the oracle, reuses at least one
 //!   clean subtree, and performs at least one partial repaint;
@@ -23,8 +24,10 @@
 //!   report identical `dirty_elements` and `damage_items`, the numbers
 //!   the cost model prices.
 
-use greenweb_engine::{LayoutStats, PaintStats, RunSpec, SimReport, Trace};
+use greenweb::metrics::RunMetrics;
+use greenweb_engine::{LayoutStats, OraclePair, Oracles, PaintStats, RunSpec, SimReport, Trace};
 use greenweb_workloads::harness::Policy;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One benchmarked workload: render counters from both modes plus the
@@ -43,8 +46,9 @@ pub struct PaintBenchRow {
     pub layout: LayoutStats,
     /// Paint counters of the incremental run.
     pub paint: PaintStats,
-    /// Whether the two runs produced the same frames, inputs, energy,
-    /// and busy time (the mode-independence contract).
+    /// Whether the two runs rendered the same metrics JSON outside the
+    /// paint-incremental pair's masked counters (the mode-independence
+    /// contract).
     pub identical: bool,
 }
 
@@ -202,30 +206,28 @@ impl PaintBenchReport {
     }
 }
 
-/// Runs one workload trace under Perf with an explicit rendering mode.
-fn run_on(app: &greenweb_engine::App, trace: &Trace, incremental: bool) -> SimReport {
+/// Runs one workload trace under Perf with the given oracle sides.
+fn run_on(app: &greenweb_engine::App, trace: &Trace, oracles: Oracles) -> SimReport {
     RunSpec::new(app.clone(), trace.clone(), Box::new(Policy::Perf))
-        .with_paint_incremental(incremental)
+        .with_oracles(oracles)
         .execute()
         .expect("workload runs")
         .report
 }
 
-/// The oracle check: everything user-observable must be byte-identical
-/// between the two rendering modes (machinery-independent pricing).
+/// The oracle check: identical metrics JSON outside the counters the
+/// paint-incremental pair may change (machinery-independent pricing).
 fn reports_agree(incr: &SimReport, naive: &SimReport) -> bool {
-    incr.frames == naive.frames
-        && incr.inputs == naive.inputs
-        && incr.total_mj() == naive.total_mj()
-        && incr.busy_time == naive.busy_time
+    let json = |r| RunMetrics::parity_json(r, &HashMap::new(), &OraclePair::PAINT_INCREMENTAL);
+    json(incr) == json(naive)
 }
 
 /// Runs the suite over all 12 workloads' micro traces.
 pub fn run_suite() -> PaintBenchReport {
     let mut rows = Vec::new();
     for w in greenweb_workloads::all() {
-        let naive = run_on(&w.app, &w.micro, false);
-        let incr = run_on(&w.app, &w.micro, true);
+        let naive = run_on(&w.app, &w.micro, OraclePair::PAINT_INCREMENTAL.naive);
+        let incr = run_on(&w.app, &w.micro, Oracles::default());
         let doc = greenweb_dom::parse_html(&w.app.html).expect("workload html parses");
         let elements = doc
             .descendants(doc.root())

@@ -18,12 +18,15 @@
 //! * **the precompiled table engages** — every setup script is served
 //!   from the bytecode the [`App`](greenweb_engine::App) builder
 //!   compiled at build time, so the load path performs zero AST walks;
-//! * **the oracle agrees** — frames, inputs, energy, and the charged op
-//!   count of the VM run equal the tree-walking interpreter's, per
-//!   workload (the tick-parity contract, end to end).
+//! * **the oracle agrees** — the VM run's metrics JSON, masked by
+//!   [`OraclePair::SCRIPT_VM`], equals the tree-walking interpreter's,
+//!   per workload. The charged op count is compared too (the
+//!   tick-parity contract, end to end).
 
-use greenweb_engine::{RunSpec, ScriptBackend, ScriptStats, SimReport, Trace};
+use greenweb::metrics::RunMetrics;
+use greenweb_engine::{OraclePair, Oracles, RunSpec, ScriptStats, SimReport, Trace};
 use greenweb_workloads::harness::Policy;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One benchmarked workload: VM-path counters from both traces plus the
@@ -36,8 +39,9 @@ pub struct ScriptBenchRow {
     pub full: ScriptStats,
     /// Script-pipeline counters of the micro-trace VM run.
     pub micro: ScriptStats,
-    /// Whether the full-trace tree-walking oracle run produced the same
-    /// frames, inputs, energy, and charged op count as the VM run.
+    /// Whether the full-trace tree-walking oracle run rendered the same
+    /// metrics JSON as the VM run outside the script-VM pair's masked
+    /// counters (charged ops included).
     pub identical: bool,
 }
 
@@ -175,32 +179,29 @@ impl ScriptBenchReport {
     }
 }
 
-/// Runs one workload trace under Perf on an explicit script backend.
-fn run_on(app: &greenweb_engine::App, trace: &Trace, backend: ScriptBackend) -> SimReport {
+/// Runs one workload trace under Perf with the given oracle sides.
+fn run_on(app: &greenweb_engine::App, trace: &Trace, oracles: Oracles) -> SimReport {
     RunSpec::new(app.clone(), trace.clone(), Box::new(Policy::Perf))
-        .with_script_backend(backend)
+        .with_oracles(oracles)
         .execute()
         .expect("workload runs")
         .report
 }
 
-/// The oracle check: everything user-observable, plus the charged op
-/// count the cost model consumed (backend-independent by tick parity).
+/// The oracle check: identical metrics JSON outside the counters the
+/// script-VM pair may change.
 fn reports_agree(vm: &SimReport, tree: &SimReport) -> bool {
-    vm.frames == tree.frames
-        && vm.inputs == tree.inputs
-        && vm.total_mj() == tree.total_mj()
-        && vm.busy_time == tree.busy_time
-        && vm.script.ops == tree.script.ops
+    let json = |r| RunMetrics::parity_json(r, &HashMap::new(), &OraclePair::SCRIPT_VM);
+    json(vm) == json(tree)
 }
 
 /// Runs the suite over all 12 workloads.
 pub fn run_suite() -> ScriptBenchReport {
     let mut rows = Vec::new();
     for w in greenweb_workloads::all() {
-        let full_vm = run_on(&w.app, &w.full, ScriptBackend::Vm);
-        let micro_vm = run_on(&w.app, &w.micro, ScriptBackend::Vm);
-        let full_tree = run_on(&w.app, &w.full, ScriptBackend::Tree);
+        let full_vm = run_on(&w.app, &w.full, Oracles::default());
+        let micro_vm = run_on(&w.app, &w.micro, Oracles::default());
+        let full_tree = run_on(&w.app, &w.full, OraclePair::SCRIPT_VM.naive);
         rows.push(ScriptBenchRow {
             name: w.name.to_string(),
             identical: reports_agree(&full_vm, &full_tree),

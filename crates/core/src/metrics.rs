@@ -10,7 +10,7 @@ use crate::degrade::{DegradationLevel, DegradationLog};
 use crate::qos::QosType;
 use greenweb_acmp::{Duration, SimTime};
 use greenweb_css::StyleStats;
-use greenweb_engine::{InputId, LayoutStats, PaintStats, ScriptStats, SimReport};
+use greenweb_engine::{InputId, LayoutStats, OraclePair, PaintStats, ScriptStats, SimReport};
 use greenweb_trace::{Histogram, LatencySummary};
 use std::collections::HashMap;
 
@@ -125,7 +125,7 @@ pub struct RunMetrics {
     /// Layout-pipeline counters (relayouts, elements measured, subtree
     /// reuses, fingerprint-dirty elements). The dirty count is
     /// identical in both rendering modes; the laid-out/reuse split is
-    /// where `GREENWEB_PAINT_INCR` shows.
+    /// where the rendering mode shows.
     pub layout: LayoutStats,
     /// Paint-pipeline counters (full/partial repaints, display items
     /// emitted/reused, damage items and area) — damage numbers are
@@ -185,19 +185,28 @@ impl RunMetrics {
         (self.violation_pct - baseline.violation_pct).max(0.0)
     }
 
+    /// The metrics JSON of `report` with the counters `pair` may change
+    /// zeroed: the bytes both sides of an oracle pair must agree on.
+    pub fn parity_json(
+        report: &SimReport,
+        expectations: &HashMap<InputId, InputExpectation>,
+        pair: &OraclePair,
+    ) -> String {
+        let mut masked = report.clone();
+        (pair.mask)(&mut masked);
+        Self::compute(&masked, expectations).render_json()
+    }
+
     /// Renders the deterministic JSON form: stable field order, floats
     /// via Rust's shortest-round-trip `Display` so equal metrics render
     /// byte-identically. The parity suite diffs this string between
     /// serial and parallel batch runs.
     ///
     /// The trailing `"style"`, `"script"`, `"layout"`, and `"paint"`
-    /// objects are deliberately flat and last: each parity CI gate
-    /// strips its counter objects with one `sed` expression per object
-    /// (`"style"` for the style-cache gate, `"script"` for the VM-off
-    /// gate, `"style"`+`"layout"`+`"paint"` for the paint-incr gate —
-    /// reused subtrees skip style resolution, so the style counters
-    /// move with the rendering mode too) and then requires the two
-    /// renderings to be byte-identical.
+    /// objects carry the run's deterministic counters. Each oracle pair
+    /// may move only the counters its [`OraclePair::mask`] zeroes;
+    /// [`RunMetrics::parity_json`] renders with them masked, and the
+    /// two sides of a pair must render byte-identically.
     pub fn render_json(&self) -> String {
         format!(
             "{{\"energy_mj\":{},\"violation_pct\":{},\"judged_inputs\":{},\

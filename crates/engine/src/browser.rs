@@ -18,6 +18,7 @@ use crate::host::{CallbackEffects, ScriptHost};
 use crate::layout::{
     DisplayItem, FrameRenderInfo, LayoutBox, LayoutStats, PaintStats, RenderPipeline,
 };
+use crate::oracles::Oracles;
 use crate::report::{InputRecord, SimReport};
 use crate::runspec::RunBudget;
 use crate::scheduler::{Scheduler, SchedulerCtx};
@@ -43,86 +44,19 @@ use std::rc::Rc;
 /// The VSync period: 60 Hz, like the paper's mobile display.
 pub const VSYNC_PERIOD: Duration = Duration::from_nanos(16_666_667);
 
-/// Reads `GREENWEB_EFFECT_GATE`: `off`, `0`, or `false` (any case)
-/// disables summary-gated invalidation downgrades, anything else —
-/// including unset — enables them. Mirrors `GREENWEB_STYLE_CACHE`; the
-/// effect-gate parity gate in CI runs one workload each way and diffs
-/// the metrics after stripping the style counters.
-fn effect_gate_from_env() -> bool {
-    !matches!(
-        std::env::var("GREENWEB_EFFECT_GATE")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str(),
-        "off" | "0" | "false"
-    )
-}
-
-/// Reads `GREENWEB_EFFECT_ASSERT`: `off`, `0`, or `false` (any case)
-/// downgrades the `dynamic ⊆ static` containment debug assertion to
-/// ledger-only recording. Poison harnesses — which attach deliberately
-/// under-approximated summaries to prove the detector detects — use it
-/// to observe violations in the report instead of aborting debug builds.
-fn effect_assert_from_env() -> bool {
-    !matches!(
-        std::env::var("GREENWEB_EFFECT_ASSERT")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str(),
-        "off" | "0" | "false"
-    )
-}
-
-/// Which script backend a browser executes callbacks on.
-///
-/// The default ([`ScriptBackend::Auto`]) is the bytecode VM: every setup
-/// program and handler body is compiled once at app load and every event
-/// dispatch executes that artifact — the same one the analyzers walk.
-/// The tree-walking interpreter survives as a differential oracle: its
-/// per-op tick counts define the cost model, and the VM's tick-weighted
-/// charging reproduces them exactly, so the two backends yield
-/// byte-identical metrics (CI diffs them).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ScriptBackend {
-    /// Resolve from `GREENWEB_SCRIPT_VM`: `off`, `0`, or `false` (any
-    /// case) selects the tree-walking oracle; anything else — including
-    /// unset — selects the VM.
-    #[default]
-    Auto,
-    /// The bytecode VM (the production path).
-    Vm,
-    /// The tree-walking interpreter (the oracle path).
-    Tree,
-}
-
-/// Reads `GREENWEB_SCRIPT_VM` for [`ScriptBackend::Auto`]. Mirrors
-/// `GREENWEB_STYLE_CACHE` / `GREENWEB_EFFECT_GATE`: opt-out, not opt-in.
-fn script_vm_from_env() -> bool {
-    !matches!(
-        std::env::var("GREENWEB_SCRIPT_VM")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str(),
-        "off" | "0" | "false"
-    )
-}
-
 /// The script execution backend behind one browser: either the bytecode
-/// VM or the tree-walking oracle, behind one call surface so the event
-/// loop never branches on the backend.
+/// VM (the production path) or the tree-walking oracle, behind one call
+/// surface so the event loop never branches on the backend. The
+/// oracle's per-op tick counts define the cost model, and the VM's
+/// tick-weighted charging reproduces them exactly.
 enum ScriptEngine {
     Vm(Vm),
     Tree(Interpreter),
 }
 
 impl ScriptEngine {
-    fn for_backend(backend: ScriptBackend) -> Self {
-        let use_vm = match backend {
-            ScriptBackend::Auto => script_vm_from_env(),
-            ScriptBackend::Vm => true,
-            ScriptBackend::Tree => false,
-        };
-        if use_vm {
+    fn new(vm: bool) -> Self {
+        if vm {
             ScriptEngine::Vm(Vm::new())
         } else {
             ScriptEngine::Tree(Interpreter::new())
@@ -360,7 +294,7 @@ pub struct Browser<S: Scheduler> {
     /// ([`Browser::computed_style`]) stay `&self` while memoizing.
     style_cache: RefCell<StyleCache>,
     /// The script backend: the bytecode VM by default, the tree-walking
-    /// oracle under `GREENWEB_SCRIPT_VM=off` (or [`ScriptBackend::Tree`]).
+    /// oracle when [`Oracles::script_vm`] is off.
     script: ScriptEngine,
     /// The handler-compilation cache shared with every analysis consumer
     /// (GreenLint's cost/effect passes, the attribution profiler): one
@@ -372,8 +306,9 @@ pub struct Browser<S: Scheduler> {
     script_stats: ScriptStats,
     listeners: ListenerSet<Value>,
     /// Incremental rendering pipeline: subtree fingerprints, measure
-    /// cache, retained display list, damage diff (`GREENWEB_PAINT_INCR`;
-    /// the oracle mode recomputes everything but prices identically).
+    /// cache, retained display list, damage diff (the oracle mode,
+    /// [`Oracles::paint_incremental`] off, recomputes everything but
+    /// prices identically).
     render: RenderPipeline,
     /// Pricing inputs of the frame currently in the pipeline, computed
     /// once per frame by [`Browser::run_render_pass`] — the stages of
@@ -415,12 +350,10 @@ pub struct Browser<S: Scheduler> {
     /// `(registered node, event, index within that node's listener
     /// list)`. Built from [`App::effect_summaries`] at load.
     effect_summaries: HashMap<(NodeId, EventType, usize), Rc<HandlerSummary>>,
-    /// Whether summary-gated invalidation downgrades are enabled
-    /// (`GREENWEB_EFFECT_GATE`; containment *checks* run regardless).
-    effect_gate: bool,
-    /// Whether a containment violation trips a debug assertion. Poison
-    /// harnesses disable this to observe violations deterministically.
-    effect_assertions: bool,
+    /// Which side of each oracle pair this browser runs; the effect gate
+    /// and containment assertions are read from here (containment
+    /// *checks* run regardless).
+    oracles: Oracles,
     /// Set after any containment violation: summaries are no longer
     /// trusted for invalidation downgrades in this browser.
     summaries_distrusted: bool,
@@ -439,60 +372,37 @@ impl<S: Scheduler> Browser<S> {
     /// Returns [`BrowserError`] if any of the app's sources fail to parse
     /// or a setup script fails.
     pub fn new(app: &App, scheduler: S) -> Result<Self, BrowserError> {
+        Self::with_oracles(app, scheduler, Oracles::default())
+    }
+
+    /// Loads `app` on default hardware, running the sides of the oracle
+    /// pairs `oracles` selects.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Browser::new`].
+    pub fn with_oracles(app: &App, scheduler: S, oracles: Oracles) -> Result<Self, BrowserError> {
         Self::with_hardware(
             app,
             scheduler,
             Platform::odroid_xu_e(),
             PowerModel::odroid_xu_e(),
+            oracles,
         )
     }
 
-    /// Loads `app` on default hardware with an explicit script backend.
-    /// Tests use this instead of `GREENWEB_SCRIPT_VM`, which races under
-    /// parallel test execution.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Browser::new`].
-    pub fn with_backend(
-        app: &App,
-        scheduler: S,
-        backend: ScriptBackend,
-    ) -> Result<Self, BrowserError> {
-        Self::with_hardware_backend(
-            app,
-            scheduler,
-            Platform::odroid_xu_e(),
-            PowerModel::odroid_xu_e(),
-            backend,
-        )
-    }
-
-    /// Loads `app` on custom hardware.
+    /// Loads `app` on custom hardware, running the sides of the oracle
+    /// pairs `oracles` selects.
     ///
     /// # Errors
     ///
     /// Same as [`Browser::new`].
     pub fn with_hardware(
         app: &App,
-        scheduler: S,
-        platform: Platform,
-        power: PowerModel,
-    ) -> Result<Self, BrowserError> {
-        Self::with_hardware_backend(app, scheduler, platform, power, ScriptBackend::Auto)
-    }
-
-    /// Loads `app` on custom hardware with an explicit script backend.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Browser::new`].
-    pub fn with_hardware_backend(
-        app: &App,
         mut scheduler: S,
         platform: Platform,
         power: PowerModel,
-        backend: ScriptBackend,
+        oracles: Oracles,
     ) -> Result<Self, BrowserError> {
         let doc = parse_html(&app.html)?;
         let stylesheet = parse_stylesheet(&app.css_source())?;
@@ -503,12 +413,12 @@ impl<S: Scheduler> Browser<S> {
             app_name: app.name.clone(),
             doc,
             style,
-            style_cache: RefCell::new(StyleCache::from_env()),
-            script: ScriptEngine::for_backend(backend),
+            style_cache: RefCell::new(StyleCache::new(oracles.style_cache)),
+            script: ScriptEngine::new(oracles.script_vm),
             handler_cache: HandlerCache::default(),
             script_stats: ScriptStats::default(),
             listeners: ListenerSet::new(),
-            render: RenderPipeline::from_env(),
+            render: RenderPipeline::new(oracles.paint_incremental),
             frame_render: FrameRenderInfo::default(),
             cost: app.cost.clone(),
             cpu,
@@ -537,8 +447,7 @@ impl<S: Scheduler> Browser<S> {
             budget: None,
             events_popped: 0,
             effect_summaries: HashMap::new(),
-            effect_gate: effect_gate_from_env(),
-            effect_assertions: effect_assert_from_env(),
+            oracles,
             summaries_distrusted: false,
             effect_violations: Vec::new(),
             effect_checks: 0,
@@ -656,25 +565,6 @@ impl<S: Scheduler> Browser<S> {
         &self.style
     }
 
-    /// Enables or disables the computed-style cache for this browser.
-    /// Tests use this instead of `GREENWEB_STYLE_CACHE`, which races
-    /// under parallel test execution. Caching is semantics-preserving;
-    /// only the `style.cache_*` counters differ between modes.
-    pub fn set_style_cache_enabled(&mut self, enabled: bool) {
-        self.style_cache.get_mut().set_enabled(enabled);
-    }
-
-    /// Switches the rendering pipeline between the incremental path and
-    /// the naive full-relayout/full-repaint oracle. Tests use this
-    /// instead of `GREENWEB_PAINT_INCR`, which races under parallel
-    /// test execution. Semantics-preserving: geometry, display lists,
-    /// and every energy/QoS metric are identical between modes — only
-    /// the `layout`/`paint` reuse counters (and the style counters,
-    /// since reused subtrees skip style resolution) differ.
-    pub fn set_paint_incremental(&mut self, enabled: bool) {
-        self.render.set_enabled(enabled);
-    }
-
     /// The retained display list after the last produced frame, in
     /// document order. Differential tests compare this across modes.
     pub fn display_list(&self) -> &[DisplayItem] {
@@ -720,21 +610,6 @@ impl<S: Scheduler> Browser<S> {
             }
         }
         out
-    }
-
-    /// Enables or disables summary-gated invalidation downgrades
-    /// programmatically (tests use this instead of
-    /// `GREENWEB_EFFECT_GATE`, which races under parallel execution).
-    /// Containment checks run either way.
-    pub fn set_effect_gate_enabled(&mut self, enabled: bool) {
-        self.effect_gate = enabled;
-    }
-
-    /// Disables the debug assertion on containment violations, so poison
-    /// harnesses (which attach deliberately under-approximated summaries)
-    /// can observe violations in the report instead of aborting.
-    pub fn set_effect_containment_asserts(&mut self, enabled: bool) {
-        self.effect_assertions = enabled;
     }
 
     /// Every `dynamic ⊆ static` containment violation observed so far.
@@ -1490,7 +1365,7 @@ impl<S: Scheduler> Browser<S> {
                     ));
                 }
                 self.summaries_distrusted = true;
-                if self.effect_assertions {
+                if self.oracles.containment_asserts {
                     debug_assert!(
                         false,
                         "observed CallbackEffects escape the static EffectSummary: {violations:?}"
@@ -1546,7 +1421,7 @@ impl<S: Scheduler> Browser<S> {
         // combinators only); inline style writes always invalidate only
         // the written subtree.
         if effects.dom_mutated {
-            let downgrade = self.effect_gate
+            let downgrade = self.oracles.effect_gate
                 && !self.summaries_distrusted
                 && !effects.tree_mutated
                 && summary

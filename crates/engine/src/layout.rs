@@ -15,15 +15,15 @@
 //!    three invalidation sources the style system reacts to — DOM
 //!    mutations, inline-style writes, animation ticks — land in the
 //!    fingerprints *without consulting* the style cache or the effect
-//!    gate (pricing must not depend on either flag; see the parity
-//!    gates in CI).
+//!    gate (pricing must not depend on either flag; see the oracle
+//!    parity test).
 //! 2. **Measure.** A bottom-up pass computes each element's box metrics
 //!    from its [`ComputedStyle`]. Entries are cached per node keyed by
 //!    `(stylesheet generation, subtree fingerprint)`: when the pipeline
 //!    is enabled, a subtree whose root's key matches is *reused* —
 //!    nothing under it is re-measured or re-styled. Disabled
-//!    (`GREENWEB_PAINT_INCR=off`), the same pass measures every element
-//!    every frame: the naive oracle.
+//!    ([`crate::Oracles::paint_incremental`] off), the same pass
+//!    measures every element every frame: the naive oracle.
 //! 3. **Position.** A cheap top-down pass assigns final boxes (block
 //!    stacking in a fixed mobile viewport). It always walks the whole
 //!    tree — positions depend on earlier siblings — and is not counted
@@ -38,9 +38,9 @@
 //! elements from the fingerprint diff, damage items, total items) are
 //! derived identically in both modes — the enabled flag only gates the
 //! cache-reuse machinery — so a run's energy and QoS metrics are
-//! byte-identical between `GREENWEB_PAINT_INCR` on and off; only the
-//! `layout`/`paint` counters (and the style counters, since reused
-//! subtrees skip style resolution) differ. CI diffs exactly that.
+//! byte-identical between the two modes; only the `layout`/`paint`
+//! counters (and the style counters, since reused subtrees skip style
+//! resolution) differ. The oracle parity test checks exactly that.
 
 use greenweb_css::{ComputedStyle, CssValue};
 use greenweb_dom::{Document, NodeId};
@@ -201,21 +201,6 @@ struct NodeMeasure {
     style_fp: u64,
 }
 
-/// Reads `GREENWEB_PAINT_INCR`: `off`, `0`, or `false` (any case)
-/// selects the naive full-relayout/full-repaint oracle, anything else —
-/// including unset — the incremental path. Mirrors
-/// `GREENWEB_STYLE_CACHE` / `GREENWEB_EFFECT_GATE` / `GREENWEB_SCRIPT_VM`:
-/// opt-out, not opt-in.
-fn paint_incr_from_env() -> bool {
-    !matches!(
-        std::env::var("GREENWEB_PAINT_INCR")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str(),
-        "off" | "0" | "false"
-    )
-}
-
 /// The incremental rendering pipeline: subtree fingerprints, the
 /// measure cache, the retained display list, and the damage diff.
 /// See the module docs for the frame anatomy.
@@ -261,19 +246,6 @@ impl RenderPipeline {
             layout_stats: LayoutStats::default(),
             paint_stats: PaintStats::default(),
         }
-    }
-
-    /// Creates a pipeline honouring `GREENWEB_PAINT_INCR`.
-    pub fn from_env() -> Self {
-        Self::new(paint_incr_from_env())
-    }
-
-    /// Switches between the incremental path and the naive oracle.
-    /// Tests use this instead of the env var, which races under
-    /// parallel test execution. Semantics-preserving: only the
-    /// `layout`/`paint`/`style` counters differ between modes.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
     }
 
     /// Whether the incremental machinery is on.

@@ -48,13 +48,14 @@ pub mod fault;
 pub mod frame;
 pub mod host;
 pub mod layout;
+pub mod oracles;
 pub mod report;
 pub mod runspec;
 pub mod scheduler;
 pub mod style_cache;
 
 pub use app::{App, AppBuilder};
-pub use browser::{Browser, BrowserError, ScriptBackend};
+pub use browser::{Browser, BrowserError};
 pub use cost::FrameCostModel;
 pub use effects::{EffectSummary, EffectTarget, HandlerSummary, TargetSet};
 pub use events::{InputId, TargetSpec, Trace, TraceBuilder, TraceEvent};
@@ -67,6 +68,7 @@ pub use greenweb_script::{CompiledHandler, HandlerCache, ScriptStats};
 pub use layout::{
     DisplayItem, FrameRenderInfo, LayoutBox, LayoutStats, PaintStats, RenderPipeline,
 };
+pub use oracles::{OraclePair, Oracles, ORACLE_PAIRS};
 pub use report::{InputRecord, SimReport};
 pub use runspec::{RunBudget, RunOutcome, RunSpec, SchedulerFactory, SchedulerProbe, TraceMode};
 pub use scheduler::{GovernorScheduler, Scheduler, SchedulerCtx};

@@ -20,6 +20,7 @@ use crate::app::App;
 use crate::browser::{Browser, BrowserError};
 use crate::events::Trace;
 use crate::fault::FaultPlan;
+use crate::oracles::Oracles;
 use crate::report::SimReport;
 use crate::scheduler::Scheduler;
 use greenweb_acmp::{Platform, PowerModel};
@@ -127,18 +128,11 @@ pub struct RunSpec {
     pub probe: Option<SchedulerProbe>,
     /// Watchdog ceilings, if this run is supervised.
     pub budget: Option<RunBudget>,
-    /// Which script backend executes callbacks. Deliberately excluded
-    /// from [`RunSpec::digest`]: the backends produce byte-identical
-    /// results (the tick-parity contract), so a spec's identity must not
-    /// depend on which one runs it — the VM-off parity gate leans on
-    /// exactly that.
-    pub script_backend: crate::browser::ScriptBackend,
-    /// Which rendering mode the browser runs: `None` resolves
-    /// `GREENWEB_PAINT_INCR` at load, `Some(b)` pins it. Excluded from
-    /// [`RunSpec::digest`] for the same reason as `script_backend`: the
-    /// two modes produce byte-identical results (only reuse counters
-    /// differ), and the paint-incr parity gate leans on exactly that.
-    pub paint_incremental: Option<bool>,
+    /// Which side of each oracle pair the browser runs. Deliberately
+    /// excluded from [`RunSpec::digest`]: both sides of every pair
+    /// produce the same results (only the pair's own counters differ),
+    /// so a spec's identity must not depend on which one runs it.
+    pub oracles: Oracles,
 }
 
 // The whole point of the spec: it must be able to cross into a worker
@@ -165,8 +159,7 @@ impl RunSpec {
             recording: TraceMode::Off,
             probe: None,
             budget: None,
-            script_backend: crate::browser::ScriptBackend::Auto,
-            paint_incremental: None,
+            oracles: Oracles::default(),
         }
     }
 
@@ -215,23 +208,12 @@ impl RunSpec {
         self
     }
 
-    /// Pins the script backend (default: [`ScriptBackend::Auto`], which
-    /// resolves `GREENWEB_SCRIPT_VM`). Parity harnesses run the same spec
-    /// once per backend and diff the reports.
-    ///
-    /// [`ScriptBackend::Auto`]: crate::browser::ScriptBackend::Auto
+    /// Selects the side of each oracle pair (default: production).
+    /// Parity harnesses run the same spec once per side and diff the
+    /// reports.
     #[must_use]
-    pub fn with_script_backend(mut self, backend: crate::browser::ScriptBackend) -> Self {
-        self.script_backend = backend;
-        self
-    }
-
-    /// Pins the rendering mode (default: resolve `GREENWEB_PAINT_INCR`
-    /// at load). Parity harnesses run the same spec once per mode and
-    /// diff the reports, exactly like the script-backend flip.
-    #[must_use]
-    pub fn with_paint_incremental(mut self, enabled: bool) -> Self {
-        self.paint_incremental = Some(enabled);
+    pub fn with_oracles(mut self, oracles: Oracles) -> Self {
+        self.oracles = oracles;
         self
     }
 
@@ -281,16 +263,13 @@ impl RunSpec {
     /// Returns [`BrowserError`] if the app fails to load or a callback
     /// errors.
     pub fn execute(&self) -> Result<RunOutcome, BrowserError> {
-        let mut browser = Browser::with_hardware_backend(
+        let mut browser = Browser::with_hardware(
             &self.app,
             self.scheduler.build(),
             self.platform.clone(),
             self.power.clone(),
-            self.script_backend,
+            self.oracles,
         )?;
-        if let Some(enabled) = self.paint_incremental {
-            browser.set_paint_incremental(enabled);
-        }
         if let Some(plan) = self.faults {
             browser.set_fault_plan(plan);
         }

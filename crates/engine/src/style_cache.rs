@@ -18,8 +18,9 @@
 //!   or tree edit can re-route matching for arbitrary nodes).
 //!
 //! Caching is semantics-preserving: hits return exactly what a fresh
-//! resolve would, which the cache-parity CI gate (`GREENWEB_STYLE_CACHE`)
-//! and the differential property suite both enforce. Hit/miss counters
+//! resolve would, which the oracle parity test (the cache's naive side is
+//! [`crate::Oracles::style_cache`] off) and the differential property
+//! suite both enforce. Hit/miss counters
 //! are deterministic and flow into [`greenweb_css::StyleStats`].
 
 use greenweb_css::{ComputedStyle, StyleEngine};
@@ -46,42 +47,16 @@ pub struct StyleCache {
 }
 
 impl StyleCache {
-    /// Creates an enabled, empty cache.
-    pub fn new() -> Self {
+    /// Creates an empty cache, memoizing only if `enabled` (disabled,
+    /// every resolve runs afresh and counts as a miss).
+    pub fn new(enabled: bool) -> Self {
         StyleCache {
-            enabled: true,
+            enabled,
             generation: 0,
             entries: HashMap::new(),
             hits: 0,
             misses: 0,
             invalidations_avoided: 0,
-        }
-    }
-
-    /// Creates a cache honoring the `GREENWEB_STYLE_CACHE` environment
-    /// variable: `off`, `0`, or `false` (any case) disables it, anything
-    /// else — including unset — enables it. The parity gate in CI runs
-    /// one workload each way and diffs the metrics.
-    pub fn from_env() -> Self {
-        let enabled = !matches!(
-            std::env::var("GREENWEB_STYLE_CACHE")
-                .unwrap_or_default()
-                .to_ascii_lowercase()
-                .as_str(),
-            "off" | "0" | "false"
-        );
-        let mut cache = StyleCache::new();
-        cache.enabled = enabled;
-        cache
-    }
-
-    /// Enables or disables the cache programmatically (tests use this
-    /// instead of the environment variable, which races under parallel
-    /// test execution). Disabling drops all entries.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.entries.clear();
         }
     }
 
@@ -103,8 +78,8 @@ impl StyleCache {
     }
 
     /// Records one summary-gated downgrade (no-op while the cache is
-    /// disabled: there is nothing to preserve, and the parity gate wants
-    /// all non-style counters identical across modes).
+    /// disabled: there is nothing to preserve, and the oracle parity
+    /// test wants all non-style counters identical across modes).
     pub fn note_avoided_clear(&mut self) {
         if self.enabled {
             self.invalidations_avoided += 1;
@@ -172,7 +147,7 @@ impl StyleCache {
 
 impl Default for StyleCache {
     fn default() -> Self {
-        StyleCache::new()
+        StyleCache::new(true)
     }
 }
 
@@ -193,7 +168,7 @@ mod tests {
     #[test]
     fn hit_returns_what_a_fresh_resolve_would() {
         let (doc, engine) = fixture();
-        let mut cache = StyleCache::new();
+        let mut cache = StyleCache::new(true);
         let b = doc.element_by_id("b").unwrap();
         let first = cache.resolve(&engine, &doc, b);
         let second = cache.resolve(&engine, &doc, b);
@@ -208,8 +183,7 @@ mod tests {
     #[test]
     fn disabled_cache_never_hits() {
         let (doc, engine) = fixture();
-        let mut cache = StyleCache::new();
-        cache.set_enabled(false);
+        let mut cache = StyleCache::new(false);
         let b = doc.element_by_id("b").unwrap();
         cache.resolve(&engine, &doc, b);
         cache.resolve(&engine, &doc, b);
@@ -220,7 +194,7 @@ mod tests {
     #[test]
     fn generation_bump_drops_entries() {
         let (doc, mut engine) = fixture();
-        let mut cache = StyleCache::new();
+        let mut cache = StyleCache::new(true);
         let b = doc.element_by_id("b").unwrap();
         cache.resolve(&engine, &doc, b);
         assert_eq!(cache.len(), 1);
@@ -237,7 +211,7 @@ mod tests {
     fn subtree_invalidation_spares_siblings() {
         let doc = parse_html("<div id='a'><p id='b'>x</p></div><span id='c'>y</span>").unwrap();
         let engine = StyleEngine::new(parse_stylesheet("* { margin: 0; }").unwrap());
-        let mut cache = StyleCache::new();
+        let mut cache = StyleCache::new(true);
         for id in ["a", "b", "c"] {
             cache.resolve(&engine, &doc, doc.element_by_id(id).unwrap());
         }

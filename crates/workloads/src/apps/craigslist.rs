@@ -94,7 +94,7 @@ pub fn workload() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use greenweb_acmp::{CoreType, Platform, PowerModel};
+    use greenweb_acmp::CoreType;
     use greenweb_acmp::{CpuConfig, SimTime};
     use greenweb_dom::{EventType, NodeId};
     use greenweb_engine::{Browser, InputId, Scheduler, SchedulerCtx, Trace};
@@ -126,13 +126,7 @@ mod tests {
             .touchmove_run(50.0, "rows", 30, 16.6)
             .end_ms(1_200.0)
             .build();
-        let mut b = Browser::with_hardware(
-            &w.app,
-            LittlePin,
-            Platform::odroid_xu_e(),
-            PowerModel::odroid_xu_e(),
-        )
-        .unwrap();
+        let mut b = Browser::new(&w.app, LittlePin).unwrap();
         let report = b.run(&trace).unwrap();
         let late = report
             .frames

@@ -225,7 +225,7 @@ fn fleet_dynamic_effects_stay_within_static_summaries() {
 #[test]
 fn poisoned_summaries_are_caught_by_the_containment_ledger() {
     use greenweb_acmp::PerfGovernor;
-    use greenweb_engine::{Browser, EffectSummary, GovernorScheduler};
+    use greenweb_engine::{Browser, EffectSummary, GovernorScheduler, Oracles};
     let w = greenweb_workloads::by_name("Todo").expect("Todo workload");
     let mut app = w.app.clone();
     let mut summaries = greenweb_analyze::infer_effect_summaries(&app);
@@ -233,8 +233,12 @@ fn poisoned_summaries_are_caught_by_the_containment_ledger() {
         hs.summary = EffectSummary::pure();
     }
     app.effect_summaries = summaries;
-    let mut browser = Browser::new(&app, GovernorScheduler::new(PerfGovernor)).expect("Todo loads");
-    browser.set_effect_containment_asserts(false);
+    let oracles = Oracles {
+        containment_asserts: false,
+        ..Oracles::default()
+    };
+    let mut browser = Browser::with_oracles(&app, GovernorScheduler::new(PerfGovernor), oracles)
+        .expect("Todo loads");
     let report = browser.run(&w.full).expect("Todo runs");
     assert!(report.effect_checks > 0);
     assert!(
@@ -251,18 +255,18 @@ fn poisoned_summaries_are_caught_by_the_containment_ledger() {
 #[test]
 fn effect_gate_changes_no_observable_metric() {
     use greenweb_acmp::PerfGovernor;
-    use greenweb_engine::{Browser, GovernorScheduler};
+    use greenweb_engine::{Browser, GovernorScheduler, OraclePair, Oracles};
     let w = greenweb_workloads::by_name("Todo").expect("Todo workload");
     let mut app = w.app.clone();
     app.effect_summaries = greenweb_analyze::infer_effect_summaries(&app);
-    let run_with_gate = |enabled: bool| {
+    let run_with = |oracles: Oracles| {
         let mut browser =
-            Browser::new(&app, GovernorScheduler::new(PerfGovernor)).expect("Todo loads");
-        browser.set_effect_gate_enabled(enabled);
+            Browser::with_oracles(&app, GovernorScheduler::new(PerfGovernor), oracles)
+                .expect("Todo loads");
         browser.run(&w.full).expect("Todo runs")
     };
-    let gated = run_with_gate(true);
-    let ungated = run_with_gate(false);
+    let gated = run_with(Oracles::default());
+    let ungated = run_with(OraclePair::EFFECT_GATE.naive);
     assert!(
         gated.style.cache_invalidations_avoided > 0,
         "the clear-all → subtree downgrade never fired on Todo"

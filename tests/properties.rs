@@ -486,7 +486,7 @@ fn bucketed_style_resolver_matches_naive() {
 /// as with it enabled — only the `style.cache_*` counters may differ.
 #[test]
 fn style_cache_does_not_change_run_results() {
-    use greenweb_engine::{App, Browser, GovernorScheduler, Trace};
+    use greenweb_engine::{App, Browser, GovernorScheduler, OraclePair, Oracles, Trace};
 
     let app = App::builder("cache-parity")
         .html("<div id='box'><p class='inner'>x</p></div>")
@@ -506,14 +506,13 @@ fn style_cache_does_not_change_run_results() {
         .end_ms(800.0)
         .build();
 
-    let run_with_cache = |enabled: bool| {
-        let mut browser =
-            Browser::new(&app, GovernorScheduler::new(greenweb_acmp::PerfGovernor)).unwrap();
-        browser.set_style_cache_enabled(enabled);
+    let run_with = |oracles: Oracles| {
+        let sched = GovernorScheduler::new(greenweb_acmp::PerfGovernor);
+        let mut browser = Browser::with_oracles(&app, sched, oracles).unwrap();
         browser.run(&trace).unwrap()
     };
-    let on = run_with_cache(true);
-    let off = run_with_cache(false);
+    let on = run_with(Oracles::default());
+    let off = run_with(OraclePair::STYLE_CACHE.naive);
 
     assert_eq!(on.frames, off.frames, "cache changed frame records");
     assert_eq!(on.inputs, off.inputs, "cache changed input metadata");
@@ -534,7 +533,7 @@ fn style_cache_does_not_change_run_results() {
 /// `fold_wins`, compile-path splits) may differ.
 #[test]
 fn script_backend_does_not_change_run_results() {
-    use greenweb_engine::{App, Browser, GovernorScheduler, ScriptBackend, Trace};
+    use greenweb_engine::{App, Browser, GovernorScheduler, OraclePair, Oracles, Trace};
 
     let app = App::builder("backend-parity")
         .html("<div id='box'>x</div>")
@@ -554,17 +553,13 @@ fn script_backend_does_not_change_run_results() {
         .end_ms(800.0)
         .build();
 
-    let run_on = |backend: ScriptBackend| {
-        let mut browser = Browser::with_backend(
-            &app,
-            GovernorScheduler::new(greenweb_acmp::PerfGovernor),
-            backend,
-        )
-        .unwrap();
+    let run_with = |oracles: Oracles| {
+        let sched = GovernorScheduler::new(greenweb_acmp::PerfGovernor);
+        let mut browser = Browser::with_oracles(&app, sched, oracles).unwrap();
         browser.run(&trace).unwrap()
     };
-    let vm = run_on(ScriptBackend::Vm);
-    let tree = run_on(ScriptBackend::Tree);
+    let vm = run_with(Oracles::default());
+    let tree = run_with(OraclePair::SCRIPT_VM.naive);
 
     assert_eq!(vm.frames, tree.frames, "backend changed frame records");
     assert_eq!(vm.inputs, tree.inputs, "backend changed input metadata");
@@ -588,24 +583,15 @@ fn script_backend_does_not_change_run_results() {
     assert_eq!(tree.script.dispatches, 0, "oracle counted vm dispatches");
 }
 
-/// The VM-off parity gate's contract, in-process: the deterministic
-/// metrics JSON of a VM run and an oracle run are byte-identical once
-/// the trailing `"script"` counter object is stripped — and only that
+/// The VM-off parity contract, in-process: the deterministic metrics
+/// JSON of a VM run and an oracle run are byte-identical once the
+/// trailing `"script"` counter object is stripped — and only that
 /// object distinguishes the two renderings.
 #[test]
 fn script_backend_metrics_json_identical_modulo_script_counters() {
     use greenweb::metrics::RunMetrics;
-    use greenweb_engine::{App, Browser, GovernorScheduler, ScriptBackend, Trace};
+    use greenweb_engine::{App, Browser, GovernorScheduler, OraclePair, Oracles, Trace};
     use std::collections::HashMap;
-
-    // Strips the `"script"` counter object — the in-process double of
-    // the CI gate's `sed 's/,"script":{[^}]*}//'`. The object is flat
-    // (no nested braces), so the first `}` closes it.
-    fn strip_script(json: &str) -> String {
-        let start = json.find(",\"script\":{").expect("script object missing");
-        let end = start + json[start..].find('}').unwrap() + 1;
-        format!("{}{}", &json[..start], &json[end..])
-    }
 
     let app = App::builder("json-parity")
         .html("<div id='box'>x</div>")
@@ -615,23 +601,19 @@ fn script_backend_metrics_json_identical_modulo_script_counters() {
         )
         .build();
     let trace = Trace::builder().click_id(50.0, "box").end_ms(500.0).build();
-    let run_on = |backend: ScriptBackend| {
-        let mut browser = Browser::with_backend(
-            &app,
-            GovernorScheduler::new(greenweb_acmp::PerfGovernor),
-            backend,
-        )
-        .unwrap();
+    let run_with = |oracles: Oracles| {
+        let sched = GovernorScheduler::new(greenweb_acmp::PerfGovernor);
+        let mut browser = Browser::with_oracles(&app, sched, oracles).unwrap();
         let report = browser.run(&trace).unwrap();
         RunMetrics::compute(&report, &HashMap::new()).render_json()
     };
-    let vm = run_on(ScriptBackend::Vm);
-    let tree = run_on(ScriptBackend::Tree);
+    let vm = run_with(Oracles::default());
+    let tree = run_with(OraclePair::SCRIPT_VM.naive);
 
     assert_ne!(vm, tree, "script counters failed to identify the backend");
     assert_eq!(
-        strip_script(&vm),
-        strip_script(&tree),
+        strip_counter_object(&vm, "script"),
+        strip_counter_object(&tree, "script"),
         "backends diverged outside the script counters"
     );
 }
@@ -643,7 +625,7 @@ fn script_backend_metrics_json_identical_modulo_script_counters() {
 /// rAF chains.
 #[test]
 fn script_backends_agree_on_observable_callback_effects() {
-    use greenweb_engine::{App, Browser, GovernorScheduler, ScriptBackend, Trace};
+    use greenweb_engine::{App, Browser, GovernorScheduler, OraclePair, Oracles, Trace};
 
     const STMTS: [&str; 8] = [
         "setStyle(getElementById('box'), 'width', n * 10);",
@@ -670,17 +652,13 @@ fn script_backends_agree_on_observable_callback_effects() {
                 ))
                 .build();
             let trace = Trace::builder().click_id(50.0, "box").end_ms(600.0).build();
-            let run_on = |backend: ScriptBackend| {
-                let mut browser = Browser::with_backend(
-                    &app,
-                    GovernorScheduler::new(greenweb_acmp::PerfGovernor),
-                    backend,
-                )
-                .unwrap();
+            let run_with = |oracles: Oracles| {
+                let sched = GovernorScheduler::new(greenweb_acmp::PerfGovernor);
+                let mut browser = Browser::with_oracles(&app, sched, oracles).unwrap();
                 browser.run(&trace).unwrap()
             };
-            let vm = run_on(ScriptBackend::Vm);
-            let tree = run_on(ScriptBackend::Tree);
+            let vm = run_with(Oracles::default());
+            let tree = run_with(OraclePair::SCRIPT_VM.naive);
             assert_eq!(vm.frames, tree.frames, "frames diverged\nbody: {body}");
             assert_eq!(vm.inputs, tree.inputs, "inputs diverged\nbody: {body}");
             assert_eq!(
@@ -703,7 +681,7 @@ fn script_backends_agree_on_observable_callback_effects() {
 /// either backend.
 #[test]
 fn script_backends_trip_the_same_op_limit() {
-    use greenweb_engine::{App, Browser, GovernorScheduler, RunBudget, ScriptBackend, Trace};
+    use greenweb_engine::{App, Browser, GovernorScheduler, OraclePair, Oracles, RunBudget, Trace};
 
     let app = App::builder("budget-parity")
         .html("<div id='box'>x</div>")
@@ -713,25 +691,21 @@ fn script_backends_trip_the_same_op_limit() {
         )
         .build();
     let trace = Trace::builder().click_id(50.0, "box").end_ms(500.0).build();
-    let trip = |backend: ScriptBackend| {
-        let mut browser = Browser::with_backend(
-            &app,
-            GovernorScheduler::new(greenweb_acmp::PerfGovernor),
-            backend,
-        )
-        .unwrap();
+    let trip = |oracles: Oracles| {
+        let sched = GovernorScheduler::new(greenweb_acmp::PerfGovernor);
+        let mut browser = Browser::with_oracles(&app, sched, oracles).unwrap();
         browser.set_budget(RunBudget {
             max_callback_ops: 10_000,
             max_sim_events: 1_000_000,
         });
         match browser.run(&trace) {
             Err(greenweb_engine::BrowserError::Budget(detail)) => detail,
-            other => panic!("expected an op-limit trip on {backend:?}, got {other:?}"),
+            other => panic!("expected an op-limit trip on {oracles:?}, got {other:?}"),
         }
     };
     assert_eq!(
-        trip(ScriptBackend::Vm),
-        trip(ScriptBackend::Tree),
+        trip(Oracles::default()),
+        trip(OraclePair::SCRIPT_VM.naive),
         "backends reported different op-limit trips"
     );
 }
@@ -740,10 +714,9 @@ fn script_backends_trip_the_same_op_limit() {
 // Incremental rendering: layout cache + retained display list (§6k)
 // ---------------------------------------------------------------------------
 
-/// Strips one flat trailing counter object (`,"name":{…}`) from a
-/// metrics JSON rendering — the in-process double of the CI parity
-/// gates' `sed 's/,"name":{[^}]*}//'`. The objects are flat (no nested
-/// braces), so the first `}` closes them.
+/// Strips one flat counter object (`,"name":{…}`) from a metrics JSON
+/// rendering. The objects are flat (no nested braces), so the first `}`
+/// closes them.
 fn strip_counter_object(json: &str, name: &str) -> String {
     let needle = format!(",\"{name}\":{{");
     let start = json
@@ -761,7 +734,7 @@ fn strip_counter_object(json: &str, name: &str) -> String {
 /// dirty/damage numbers the cost model prices must not.
 #[test]
 fn incremental_rendering_does_not_change_run_results() {
-    use greenweb_engine::{App, Browser, GovernorScheduler, Trace};
+    use greenweb_engine::{App, Browser, GovernorScheduler, OraclePair, Oracles, Trace};
 
     let app = App::builder("paint-parity")
         .html(
@@ -787,17 +760,16 @@ fn incremental_rendering_does_not_change_run_results() {
         .end_ms(900.0)
         .build();
 
-    let run_mode = |enabled: bool| {
-        let mut browser =
-            Browser::new(&app, GovernorScheduler::new(greenweb_acmp::PerfGovernor)).unwrap();
-        browser.set_paint_incremental(enabled);
+    let run_with = |oracles: Oracles| {
+        let sched = GovernorScheduler::new(greenweb_acmp::PerfGovernor);
+        let mut browser = Browser::with_oracles(&app, sched, oracles).unwrap();
         let report = browser.run(&trace).unwrap();
         let boxes = browser.layout_boxes().to_vec();
         let items = browser.display_list().to_vec();
         (report, boxes, items)
     };
-    let (on, on_boxes, on_items) = run_mode(true);
-    let (off, off_boxes, off_items) = run_mode(false);
+    let (on, on_boxes, on_items) = run_with(Oracles::default());
+    let (off, off_boxes, off_items) = run_with(OraclePair::PAINT_INCREMENTAL.naive);
 
     assert_eq!(on.frames, off.frames, "mode changed frame records");
     assert_eq!(on.inputs, off.inputs, "mode changed input metadata");
@@ -838,16 +810,16 @@ fn incremental_rendering_does_not_change_run_results() {
     );
 }
 
-/// The paint-incr parity gate's contract, in-process: the deterministic
+/// The paint-incremental parity contract, in-process: the deterministic
 /// metrics JSON of an incremental run and a naive-oracle run are
-/// byte-identical once the `"style"`, `"layout"`, and `"paint"`
-/// counter objects are stripped — and those counters do distinguish
-/// the two renderings. (Style counters differ too because reused
-/// subtrees skip style resolution entirely.)
+/// byte-identical once the `"style"`, `"layout"`, and `"paint"` counter
+/// objects are stripped — and those counters do distinguish the two
+/// renderings. (Style counters differ too because reused subtrees skip
+/// style resolution entirely.)
 #[test]
 fn paint_mode_metrics_json_identical_modulo_render_counters() {
     use greenweb::metrics::RunMetrics;
-    use greenweb_engine::{App, Browser, GovernorScheduler, Trace};
+    use greenweb_engine::{App, Browser, GovernorScheduler, OraclePair, Oracles, Trace};
     use std::collections::HashMap;
 
     let app = App::builder("paint-json-parity")
@@ -863,15 +835,14 @@ fn paint_mode_metrics_json_identical_modulo_render_counters() {
         .click_id(300.0, "box")
         .end_ms(700.0)
         .build();
-    let run_mode = |enabled: bool| {
-        let mut browser =
-            Browser::new(&app, GovernorScheduler::new(greenweb_acmp::PerfGovernor)).unwrap();
-        browser.set_paint_incremental(enabled);
+    let run_with = |oracles: Oracles| {
+        let sched = GovernorScheduler::new(greenweb_acmp::PerfGovernor);
+        let mut browser = Browser::with_oracles(&app, sched, oracles).unwrap();
         let report = browser.run(&trace).unwrap();
         RunMetrics::compute(&report, &HashMap::new()).render_json()
     };
-    let on = run_mode(true);
-    let off = run_mode(false);
+    let on = run_with(Oracles::default());
+    let off = run_with(OraclePair::PAINT_INCREMENTAL.naive);
 
     assert_ne!(on, off, "render counters failed to identify the mode");
     let strip = |json: &str| {
@@ -893,11 +864,12 @@ fn paint_mode_metrics_json_identical_modulo_render_counters() {
 /// work-only frames), the incremental pipeline and the naive
 /// full-relayout oracle agree on everything observable: frame records,
 /// input metadata, energy, final geometry, the final display list, and
-/// the metrics JSON modulo the style/layout/paint counter objects.
+/// the metrics JSON modulo the counters the paint-incremental oracle
+/// pair masks.
 #[test]
 fn rendering_modes_agree_on_random_documents_and_mutations() {
     use greenweb::metrics::RunMetrics;
-    use greenweb_engine::{App, Browser, GovernorScheduler, Trace};
+    use greenweb_engine::{App, Browser, GovernorScheduler, OraclePair, Oracles, Trace};
     use std::collections::HashMap;
 
     const MUTATIONS: [&str; 8] = [
@@ -944,19 +916,18 @@ fn rendering_modes_agree_on_random_documents_and_mutations() {
                 .click_id(590.0, "hub")
                 .end_ms(950.0)
                 .build();
-            let run_mode = |enabled: bool| {
-                let mut browser =
-                    Browser::new(&app, GovernorScheduler::new(greenweb_acmp::PerfGovernor))
-                        .unwrap();
-                browser.set_paint_incremental(enabled);
+            let pair = OraclePair::PAINT_INCREMENTAL;
+            let run_with = |oracles: Oracles| {
+                let sched = GovernorScheduler::new(greenweb_acmp::PerfGovernor);
+                let mut browser = Browser::with_oracles(&app, sched, oracles).unwrap();
                 let report = browser.run(&trace).unwrap();
                 let boxes = browser.layout_boxes().to_vec();
                 let items = browser.display_list().to_vec();
-                let json = RunMetrics::compute(&report, &HashMap::new()).render_json();
+                let json = RunMetrics::parity_json(&report, &HashMap::new(), &pair);
                 (report, boxes, items, json)
             };
-            let (on, on_boxes, on_items, on_json) = run_mode(true);
-            let (off, off_boxes, off_items, off_json) = run_mode(false);
+            let (on, on_boxes, on_items, on_json) = run_with(Oracles::default());
+            let (off, off_boxes, off_items, off_json) = run_with(pair.naive);
 
             assert_eq!(on.frames, off.frames, "frames diverged\nbody: {body}");
             assert_eq!(on.inputs, off.inputs, "inputs diverged\nbody: {body}");
@@ -985,14 +956,8 @@ fn rendering_modes_agree_on_random_documents_and_mutations() {
                 on.paint.damage_items, off.paint.damage_items,
                 "damage accounting diverged\nbody: {body}"
             );
-            let strip = |json: &str| {
-                let json = strip_counter_object(json, "style");
-                let json = strip_counter_object(&json, "layout");
-                strip_counter_object(&json, "paint")
-            };
             assert_eq!(
-                strip(&on_json),
-                strip(&off_json),
+                on_json, off_json,
                 "metrics diverged outside render counters\nbody: {body}"
             );
         },
