@@ -371,9 +371,10 @@ impl Iterator for Descendants<'_> {
     fn next(&mut self) -> Option<NodeId> {
         let id = self.stack.pop()?;
         // Push children in reverse so the leftmost child pops first.
-        let children: Vec<NodeId> = self.doc.children(id).collect();
-        for child in children.into_iter().rev() {
-            self.stack.push(child);
+        let mut child = self.doc.last_child(id);
+        while let Some(c) = child {
+            self.stack.push(c);
+            child = self.doc.prev_sibling(c);
         }
         Some(id)
     }

@@ -45,6 +45,7 @@
 use greenweb_css::{ComputedStyle, CssValue};
 use greenweb_dom::{Document, NodeId};
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 
 /// Layout viewport width, px (a typical mobile portrait viewport).
 pub const VIEWPORT_WIDTH: f64 = 360.0;
@@ -72,9 +73,28 @@ fn fnv_u64(hash: u64, v: u64) -> u64 {
     fnv_bytes(hash, &v.to_le_bytes())
 }
 
+/// Feeds formatted output straight into an FNV-64 state.
+struct FnvWriter(u64);
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv_bytes(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
+/// `fnv_str(hash, &format!("{value:?}"))` without building the string.
+fn fnv_debug(hash: u64, value: &impl fmt::Debug) -> u64 {
+    let mut w = FnvWriter(hash);
+    // Infallible: `FnvWriter::write_str` never fails.
+    let _ = write!(w, "{value:?}");
+    fnv_bytes(w.0, &[0xff])
+}
+
 /// Layout-stage counters, reported in [`crate::SimReport`] and the
-/// metrics JSON (`"layout":{…}`, a flat trailing object the parity
-/// gates strip with `sed`, like `"style"`/`"script"`).
+/// metrics JSON (`"layout":{…}`). The oracle parity test zeroes the
+/// mode-dependent fields with the [`crate::OraclePair::PAINT_INCREMENTAL`]
+/// mask before comparing both modes' `RunMetrics::parity_json`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LayoutStats {
     /// Frames the pipeline laid out (one per produced frame).
@@ -201,26 +221,60 @@ struct NodeMeasure {
     style_fp: u64,
 }
 
+/// One animation-overlay value: node, property, value.
+type OverlayEntry<'a> = (NodeId, &'a str, &'a CssValue);
+
+/// Per-frame working buffers. Every per-node array is indexed by
+/// [`NodeId::index`]; they live on the pipeline so that a frame
+/// allocates nothing once they have grown to the document's size.
+/// Their contents carry no meaning from one frame to the next.
+#[derive(Debug, Default)]
+struct FrameScratch {
+    /// The document in pre-order.
+    order: Vec<NodeId>,
+    /// Traversal stack (empty between passes).
+    stack: Vec<NodeId>,
+    /// Elements the mark pass selected for measuring, in pre-order.
+    to_measure: Vec<NodeId>,
+    /// Chained hash of the node's and its ancestors' own content.
+    ctx: Vec<u64>,
+    /// Subtree fingerprint (seeded top-down with the node's context
+    /// and own content, then completed bottom-up with its children's).
+    fps: Vec<u64>,
+    /// Content-box left edge and width children are placed in.
+    content: Vec<(f64, f64)>,
+    /// Next child's top edge.
+    cursor: Vec<f64>,
+    /// Position in the retained list of the node's previous item; the
+    /// damage diff takes every entry back out.
+    prev_item: Vec<Option<usize>>,
+    /// The display list being built.
+    items: Vec<DisplayItem>,
+}
+
 /// The incremental rendering pipeline: subtree fingerprints, the
 /// measure cache, the retained display list, and the damage diff.
 /// See the module docs for the frame anatomy.
 #[derive(Debug)]
 pub struct RenderPipeline {
     enabled: bool,
-    /// Previous frame's subtree fingerprint per node.
-    prev_fps: HashMap<NodeId, u64>,
+    /// Previous frame's subtree fingerprint per node; `None` for nodes
+    /// that were not in that frame's tree, so a node that appears or
+    /// is re-attached always counts as dirty.
+    prev_fps: Vec<Option<u64>>,
     /// Measure cache + persistent per-node box metrics. Entries for
     /// clean subtrees stay valid across frames (their fingerprints
     /// haven't changed), which is what lets the position pass read
     /// metrics the measure pass skipped.
-    measures: HashMap<NodeId, NodeMeasure>,
+    measures: Vec<Option<NodeMeasure>>,
     /// Stable display-item ID per node.
-    item_ids: HashMap<NodeId, u64>,
+    item_ids: Vec<Option<u64>>,
     next_item_id: u64,
     /// The retained display list (previous frame, document order).
     retained: Vec<DisplayItem>,
     /// Last frame's positioned boxes, document order.
     boxes: Vec<LayoutBox>,
+    scratch: FrameScratch,
     layout_stats: LayoutStats,
     paint_stats: PaintStats,
 }
@@ -237,12 +291,13 @@ impl RenderPipeline {
     pub fn new(enabled: bool) -> Self {
         RenderPipeline {
             enabled,
-            prev_fps: HashMap::new(),
-            measures: HashMap::new(),
-            item_ids: HashMap::new(),
+            prev_fps: Vec::new(),
+            measures: Vec::new(),
+            item_ids: Vec::new(),
             next_item_id: 0,
             retained: Vec::new(),
             boxes: Vec::new(),
+            scratch: FrameScratch::default(),
             layout_stats: LayoutStats::default(),
             paint_stats: PaintStats::default(),
         }
@@ -284,29 +339,39 @@ impl RenderPipeline {
         overlay: &HashMap<(NodeId, String), CssValue>,
         resolve: &mut dyn FnMut(NodeId) -> ComputedStyle,
     ) -> FrameRenderInfo {
-        // Per-node overlay values, sorted by property for deterministic
-        // hashing and application order.
-        let mut overlays: HashMap<NodeId, Vec<(&str, &CssValue)>> = HashMap::new();
-        for ((node, property), value) in overlay {
-            overlays
-                .entry(*node)
-                .or_default()
-                .push((property.as_str(), value));
-        }
-        for props in overlays.values_mut() {
-            props.sort_by(|a, b| a.0.cmp(b.0));
-        }
+        // Overlay values sorted by node, then property, for
+        // deterministic hashing and application order.
+        let mut overlays: Vec<OverlayEntry<'_>> = overlay
+            .iter()
+            .map(|((node, property), value)| (*node, property.as_str(), value))
+            .collect();
+        overlays.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+
+        // Scripts append nodes between frames; the arena never shrinks.
+        let len = doc.len().max(self.prev_fps.len());
+        let s = &mut self.scratch;
+        s.ctx.resize(len, 0);
+        s.fps.resize(len, 0);
+        s.content.resize(len, (0.0, VIEWPORT_WIDTH));
+        s.cursor.resize(len, 0.0);
+        s.prev_item.resize(len, None);
+        self.prev_fps.resize(len, None);
+        self.measures.resize(len, None);
+        self.item_ids.resize(len, None);
 
         // Pass 1: fingerprints. Pre-order list once, contexts top-down,
         // fingerprints bottom-up over the reversed list (children come
         // after their parent in pre-order, so the reverse sees every
         // child before its parent).
         let root = doc.root();
-        let order: Vec<NodeId> = doc.descendants(root).collect();
-        let mut own: HashMap<NodeId, u64> = HashMap::with_capacity(order.len());
-        let mut ctx: HashMap<NodeId, u64> = HashMap::with_capacity(order.len());
+        s.order.clear();
+        s.stack.push(root);
+        while let Some(n) = s.stack.pop() {
+            s.order.push(n);
+            push_children_reversed(doc, n, &mut s.stack);
+        }
         let mut elements = 0usize;
-        for &n in &order {
+        for &n in &s.order {
             let mut h = FNV_OFFSET;
             if let Some(el) = doc.element(n) {
                 elements += 1;
@@ -315,72 +380,64 @@ impl RenderPipeline {
                     h = fnv_str(h, &attr.name);
                     h = fnv_str(h, &attr.value);
                 }
-                if let Some(props) = overlays.get(&n) {
-                    for (property, value) in props {
-                        h = fnv_str(h, property);
-                        h = fnv_str(h, &format!("{value:?}"));
-                    }
+                for &(_, property, value) in overlay_of(&overlays, n) {
+                    h = fnv_str(h, property);
+                    h = fnv_debug(h, value);
                 }
             } else if let Some(text) = doc.kind(n).as_text() {
                 h = fnv_str(h, text);
             }
-            own.insert(n, h);
-            let parent_ctx = doc
-                .parent(n)
-                .and_then(|p| ctx.get(&p).copied())
-                .unwrap_or(FNV_OFFSET);
-            ctx.insert(n, fnv_u64(parent_ctx, h));
+            let parent_ctx = doc.parent(n).map_or(FNV_OFFSET, |p| s.ctx[p.index()]);
+            let ctx = fnv_u64(parent_ctx, h);
+            s.ctx[n.index()] = ctx;
+            s.fps[n.index()] = fnv_u64(ctx, h);
         }
-        let mut fps: HashMap<NodeId, u64> = HashMap::with_capacity(order.len());
-        for &n in order.iter().rev() {
-            let mut h = fnv_u64(ctx[&n], own[&n]);
-            for child in doc.children(n) {
-                h = fnv_u64(h, fps[&child]);
-            }
-            fps.insert(n, h);
-        }
-
         // Machinery-independent dirty count: elements whose subtree
         // fingerprint changed since the previous frame (all of them on
         // the first frame).
-        let dirty_elements = order
-            .iter()
-            .filter(|&&n| doc.element(n).is_some() && self.prev_fps.get(&n) != Some(&fps[&n]))
-            .count();
+        let mut dirty_elements = 0usize;
+        for &n in s.order.iter().rev() {
+            let i = n.index();
+            let mut h = s.fps[i];
+            for child in doc.children(n) {
+                h = fnv_u64(h, s.fps[child.index()]);
+            }
+            s.fps[i] = h;
+            if doc.element(n).is_some() && self.prev_fps[i] != Some(h) {
+                dirty_elements += 1;
+            }
+        }
+        self.prev_fps.fill(None);
+        for &n in &s.order {
+            self.prev_fps[n.index()] = Some(s.fps[n.index()]);
+        }
 
         // Pass 2a: mark. Pre-order descent that stops at clean subtree
         // roots when the incremental machinery is on.
-        let mut to_measure: Vec<NodeId> = Vec::new();
-        let mut stack = vec![root];
+        s.to_measure.clear();
+        s.stack.push(root);
         let mut reuses = 0u64;
-        while let Some(n) = stack.pop() {
+        while let Some(n) = s.stack.pop() {
             if doc.element(n).is_some() {
-                let fp = fps[&n];
-                let cached = self
-                    .measures
-                    .get(&n)
+                let fp = s.fps[n.index()];
+                let cached = self.measures[n.index()]
                     .is_some_and(|m| m.generation == generation && m.fp == fp);
                 if self.enabled && cached {
                     reuses += 1;
                     continue; // whole subtree is clean: skip it
                 }
-                to_measure.push(n);
+                s.to_measure.push(n);
             }
-            let children: Vec<NodeId> = doc.children(n).collect();
-            for &child in children.iter().rev() {
-                stack.push(child);
-            }
+            push_children_reversed(doc, n, &mut s.stack);
         }
 
         // Pass 2b: measure, bottom-up (reversed pre-order of the marked
         // region sees children before parents; clean children keep
         // their cached metrics).
-        for &n in to_measure.iter().rev() {
+        for &n in s.to_measure.iter().rev() {
             let mut style = resolve(n);
-            if let Some(props) = overlays.get(&n) {
-                for (property, value) in props {
-                    style.set(*property, (*value).clone());
-                }
+            for &(_, property, value) in overlay_of(&overlays, n) {
+                style.set(property, value.clone());
             }
             let margin = style_px(&style, "margin").unwrap_or(0.0);
             let explicit_width = style_px(&style, "width");
@@ -391,7 +448,7 @@ impl RenderPipeline {
                     let mut sum = 0.0;
                     for child in doc.children(n) {
                         if doc.element(child).is_some() {
-                            sum += self.measures.get(&child).map_or(0.0, |m| m.outer_height);
+                            sum += self.measures[child.index()].map_or(0.0, |m| m.outer_height);
                         } else if doc.kind(child).as_text().is_some() {
                             sum += TEXT_LINE_HEIGHT;
                         }
@@ -402,50 +459,42 @@ impl RenderPipeline {
             let mut style_fp = FNV_OFFSET;
             for (property, value) in style.iter() {
                 style_fp = fnv_str(style_fp, property);
-                style_fp = fnv_str(style_fp, &format!("{value:?}"));
+                style_fp = fnv_debug(style_fp, value);
             }
-            self.measures.insert(
-                n,
-                NodeMeasure {
-                    generation,
-                    fp: fps[&n],
-                    margin,
-                    explicit_width,
-                    outer_height: content_height + 2.0 * margin,
-                    style_fp,
-                },
-            );
+            self.measures[n.index()] = Some(NodeMeasure {
+                generation,
+                fp: s.fps[n.index()],
+                margin,
+                explicit_width,
+                outer_height: content_height + 2.0 * margin,
+                style_fp,
+            });
         }
 
         // Pass 3: position. Always a full walk — block stacking means a
         // box's y depends on every earlier sibling — and deliberately
         // not counted as layout work (it is the cheap part).
         self.boxes.clear();
-        let mut content: HashMap<NodeId, (f64, f64)> = HashMap::new();
-        let mut cursor: HashMap<NodeId, f64> = HashMap::new();
-        content.insert(root, (0.0, VIEWPORT_WIDTH));
-        cursor.insert(root, 0.0);
-        for &n in &order {
-            if n == root {
-                continue;
-            }
+        for &n in &s.order {
+            let i = n.index();
+            // What a node without a box (the root, text) offers its
+            // children: the full viewport width, stacking from 0.
+            s.content[i] = (0.0, VIEWPORT_WIDTH);
+            s.cursor[i] = 0.0;
             let Some(parent) = doc.parent(n) else {
                 continue;
             };
+            let p = parent.index();
             if doc.element(n).is_some() {
-                let Some(m) = self.measures.get(&n).copied() else {
+                let Some(m) = self.measures[i] else {
                     continue;
                 };
-                let (px, pw) = content
-                    .get(&parent)
-                    .copied()
-                    .unwrap_or((0.0, VIEWPORT_WIDTH));
-                let y_cursor = cursor.get(&parent).copied().unwrap_or(0.0);
+                let (px, pw) = s.content[p];
                 let width = m
                     .explicit_width
                     .unwrap_or_else(|| (pw - 2.0 * m.margin).max(0.0));
                 let x = px + m.margin;
-                let y = y_cursor + m.margin;
+                let y = s.cursor[p] + m.margin;
                 let height = (m.outer_height - 2.0 * m.margin).max(0.0);
                 self.boxes.push(LayoutBox {
                     node: n,
@@ -454,66 +503,67 @@ impl RenderPipeline {
                     width,
                     height,
                 });
-                content.insert(n, (x, width));
-                cursor.insert(n, y);
-                *cursor.entry(parent).or_insert(0.0) += m.outer_height;
+                s.content[i] = (x, width);
+                s.cursor[i] = y;
+                s.cursor[p] += m.outer_height;
             } else if doc.kind(n).as_text().is_some() {
-                *cursor.entry(parent).or_insert(0.0) += TEXT_LINE_HEIGHT;
+                s.cursor[p] += TEXT_LINE_HEIGHT;
             }
         }
 
         // Pass 4: display list + damage diff against the retained list.
-        let mut items: Vec<DisplayItem> = Vec::with_capacity(self.boxes.len());
+        // Item IDs are per node, so matching by node matches by ID.
+        s.items.clear();
         for b in &self.boxes {
-            let id = match self.item_ids.get(&b.node) {
-                Some(&id) => id,
+            let i = b.node.index();
+            let id = match self.item_ids[i] {
+                Some(id) => id,
                 None => {
                     let id = self.next_item_id;
                     self.next_item_id += 1;
-                    self.item_ids.insert(b.node, id);
+                    self.item_ids[i] = Some(id);
                     id
                 }
             };
-            let style_fp = self.measures.get(&b.node).map_or(0, |m| m.style_fp);
-            items.push(DisplayItem {
+            s.items.push(DisplayItem {
                 id,
                 node: b.node,
                 x: b.x,
                 y: b.y,
                 width: b.width,
                 height: b.height,
-                style_fp,
+                style_fp: self.measures[i].map_or(0, |m| m.style_fp),
             });
         }
-        let prev: HashMap<u64, DisplayItem> =
-            self.retained.iter().map(|item| (item.id, *item)).collect();
+        for (at, old) in self.retained.iter().enumerate() {
+            s.prev_item[old.node.index()] = Some(at);
+        }
         let mut damage_items = 0usize;
         let mut damage_area = 0u64;
         let mut reused_items = 0u64;
-        for item in &items {
-            match prev.get(&item.id) {
-                Some(old) if old.same_as(item) => reused_items += 1,
+        for item in &s.items {
+            match s.prev_item[item.node.index()].take() {
+                Some(at) if self.retained[at].same_as(item) => reused_items += 1,
                 _ => {
                     damage_items += 1;
                     damage_area += item.area_px2();
                 }
             }
         }
-        let current_ids: std::collections::HashSet<u64> =
-            items.iter().map(|item| item.id).collect();
+        // Retained items nothing matched have disappeared.
         for old in &self.retained {
-            if !current_ids.contains(&old.id) {
+            if s.prev_item[old.node.index()].take().is_some() {
                 damage_items += 1;
                 damage_area += old.area_px2();
             }
         }
-        let total_items = items.len();
+        let total_items = s.items.len();
 
         // Counters. The damage/dirty numbers are mode-independent; the
         // laid-out/reuse/emit split is where the two modes differ.
         self.layout_stats.relayouts += 1;
         self.layout_stats.dirty_elements += dirty_elements as u64;
-        self.layout_stats.elements_laid_out += to_measure.len() as u64;
+        self.layout_stats.elements_laid_out += s.to_measure.len() as u64;
         if self.enabled {
             self.layout_stats.subtree_reuses += reuses;
             self.paint_stats.items_emitted += damage_items.min(total_items) as u64;
@@ -532,8 +582,7 @@ impl RenderPipeline {
             self.paint_stats.partial_repaints += 1;
         }
 
-        self.prev_fps = fps;
-        self.retained = items;
+        std::mem::swap(&mut self.retained, &mut s.items);
         FrameRenderInfo {
             elements,
             dirty_elements,
@@ -541,6 +590,23 @@ impl RenderPipeline {
             total_items,
         }
     }
+}
+
+/// Pushes `n`'s children onto `stack` last-first, so the leftmost pops
+/// first (pre-order, the order of [`Document::descendants`]).
+fn push_children_reversed(doc: &Document, n: NodeId, stack: &mut Vec<NodeId>) {
+    let mut child = doc.last_child(n);
+    while let Some(c) = child {
+        stack.push(c);
+        child = doc.prev_sibling(c);
+    }
+}
+
+/// The entries for `node` in `sorted` (sorted by node, then property).
+fn overlay_of<'s, 'a>(sorted: &'s [OverlayEntry<'a>], node: NodeId) -> &'s [OverlayEntry<'a>] {
+    let start = sorted.partition_point(|e| e.0 < node);
+    let len = sorted[start..].partition_point(|e| e.0 == node);
+    &sorted[start..start + len]
 }
 
 /// Extracts a pixel magnitude from a length or unitless number;
@@ -724,13 +790,43 @@ mod tests {
     }
 
     #[test]
-    fn env_gate_is_opt_out() {
-        // Only checks the parser logic, not the live env (which races
-        // under parallel tests): unset/garbage enable, off-words
-        // disable.
-        for (value, expect) in [("off", false), ("0", false), ("FALSE", false), ("on", true)] {
-            let parsed = !matches!(value.to_ascii_lowercase().as_str(), "off" | "0" | "false");
-            assert_eq!(parsed, expect, "{value}");
-        }
+    fn dom_growth_and_reattachment_agree_across_modes() {
+        let (mut doc, engine) = fixture();
+        let (mut incr, mut naive) = pipeline_pair();
+        let overlay = HashMap::new();
+        let mut frame = |doc: &Document| {
+            let a = render(&mut incr, doc, &engine, &overlay);
+            let b = render(&mut naive, doc, &engine, &overlay);
+            assert_eq!(a, b, "pricing inputs diverged");
+            assert_eq!(incr.layout_boxes(), naive.layout_boxes());
+            assert_eq!(incr.display_list(), naive.display_list());
+            a
+        };
+        frame(&doc);
+        // Nodes allocated after the first frame lie past every per-node
+        // buffer's old length.
+        let a = doc.element_by_id("a").expect("a");
+        let li = doc.create_element("li");
+        let text = doc.create_text("new");
+        doc.append_child(li, text);
+        doc.append_child(a, li);
+        let grown = frame(&doc);
+        assert_eq!(grown.elements, 6);
+        assert_eq!(grown.dirty_elements, 2, "the new <li> and div#a");
+        assert_eq!(grown.total_items, 6);
+        // Detach div#b for a frame, then put it back unchanged: its
+        // fingerprint matches the one from before the detach, but it
+        // was absent from the previous frame, so it and its <span>
+        // count as dirty and as damage.
+        let b = doc.element_by_id("b").expect("b");
+        doc.detach(b);
+        let detached = frame(&doc);
+        assert_eq!(detached.dirty_elements, 0);
+        assert_eq!(detached.damage_items, 2);
+        doc.append_child(doc.root(), b);
+        let back = frame(&doc);
+        assert_eq!(back.dirty_elements, 2);
+        assert_eq!(back.damage_items, 2);
+        assert_eq!(back.total_items, 6);
     }
 }

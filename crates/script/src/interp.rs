@@ -19,7 +19,7 @@ use crate::value::{Closure, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// A shared, mutable lexical scope.
 pub type ScopeRef = Rc<RefCell<Scope>>;
@@ -84,6 +84,64 @@ impl Scope {
             current = s.parent.clone();
         }
         false
+    }
+}
+
+/// Every scope a closure has captured, held weakly, so a backend can
+/// break its closure ↔ scope `Rc` cycles when it is dropped.
+///
+/// A closure holds the scope it was defined in, and that scope (or an
+/// ancestor) usually binds the closure back: globals bind top-level
+/// functions, function frames bind the closures defined in them.
+/// Without help those cycles outlive the backend that made them.
+/// Each backend records the scope of every closure it creates and calls
+/// [`CapturedScopes::clear`] from its `Drop`, which cuts both outgoing
+/// edges (bindings and parent) of every recorded scope that is still
+/// alive. Every cycle through a closure passes through its captured
+/// scope, so none survives.
+#[derive(Debug, Default)]
+pub(crate) struct CapturedScopes {
+    scopes: Vec<Weak<RefCell<Scope>>>,
+    /// Length at which dead entries are next pruned.
+    prune_at: usize,
+}
+
+impl CapturedScopes {
+    /// Records `scope` as captured by a closure.
+    pub(crate) fn record(&mut self, scope: &ScopeRef) {
+        // Closures defined together share a scope: record it once.
+        if self
+            .scopes
+            .last()
+            .is_some_and(|last| last.as_ptr() == Rc::as_ptr(scope))
+        {
+            return;
+        }
+        // Handler frames die after each call; drop their entries once
+        // dead ones make up half the list.
+        if self.scopes.len() >= self.prune_at {
+            self.scopes.retain(|s| s.strong_count() > 0);
+            self.prune_at = (2 * self.scopes.len()).max(64);
+        }
+        self.scopes.push(Rc::downgrade(scope));
+    }
+
+    /// Empties the bindings and unlinks the parent of every recorded
+    /// scope still alive.
+    pub(crate) fn clear(&mut self) {
+        for scope in self.scopes.drain(..) {
+            let Some(scope) = scope.upgrade() else {
+                continue;
+            };
+            // Take the edges out before dropping them: dropping a value
+            // may release other scopes, and must not run under a borrow.
+            // Nothing else borrows a scope while its backend drops, and
+            // `Drop` must not panic, so a busy scope is skipped.
+            let edges = scope
+                .try_borrow_mut()
+                .map(|mut s| (std::mem::take(&mut s.vars), s.parent.take()));
+            drop(edges);
+        }
     }
 }
 
@@ -161,6 +219,7 @@ enum Flow {
 #[derive(Debug)]
 pub struct Interpreter {
     globals: ScopeRef,
+    captured: CapturedScopes,
     fuel: Fuel,
     rng_state: u64,
 }
@@ -174,6 +233,7 @@ impl Interpreter {
     pub fn new() -> Self {
         Interpreter {
             globals: Rc::new(RefCell::new(Scope::default())),
+            captured: CapturedScopes::default(),
             fuel: Fuel::default(),
             rng_state: 0x9E37_79B9_7F4A_7C15,
         }
@@ -314,6 +374,7 @@ impl Interpreter {
             Stmt::FunctionDecl {
                 name, params, body, ..
             } => {
+                self.captured.record(scope);
                 let closure = Value::Function(Rc::new(Closure {
                     name: name.clone(),
                     params: params.clone(),
@@ -421,12 +482,15 @@ impl Interpreter {
                 }
                 Ok(object)
             }
-            Expr::Function { params, body } => Ok(Value::Function(Rc::new(Closure {
-                name: String::new(),
-                params: params.clone(),
-                body: body.clone(),
-                env: scope.clone(),
-            }))),
+            Expr::Function { params, body } => {
+                self.captured.record(scope);
+                Ok(Value::Function(Rc::new(Closure {
+                    name: String::new(),
+                    params: params.clone(),
+                    body: body.clone(),
+                    env: scope.clone(),
+                })))
+            }
             Expr::Assign { target, value } => {
                 let value = self.eval(value, scope, host)?;
                 self.assign(target, value.clone(), scope, host)?;
@@ -616,6 +680,12 @@ impl Interpreter {
                 crate::builtins::set_index(&obj, &idx, value)
             }
         }
+    }
+}
+
+impl Drop for Interpreter {
+    fn drop(&mut self) {
+        self.captured.clear();
     }
 }
 

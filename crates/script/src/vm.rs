@@ -27,7 +27,7 @@ use crate::atom::name_atom;
 use crate::builtins;
 use crate::compiler::{compile, CompiledProgram, Const, Op, Proto};
 use crate::fuel::Fuel;
-use crate::interp::{Host, Scope, ScopeRef, ScriptError};
+use crate::interp::{CapturedScopes, Host, Scope, ScopeRef, ScriptError};
 use crate::parser::parse_program;
 use crate::value::{Value, VmClosure};
 use std::cell::RefCell;
@@ -38,6 +38,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Vm {
     globals: ScopeRef,
+    captured: CapturedScopes,
     fuel: Fuel,
     dispatches: u64,
     rng_state: u64,
@@ -48,6 +49,7 @@ impl Vm {
     pub fn new() -> Self {
         Vm {
             globals: Rc::new(RefCell::new(Scope::default())),
+            captured: CapturedScopes::default(),
             fuel: Fuel::default(),
             dispatches: 0,
             rng_state: 0x9E37_79B9_7F4A_7C15,
@@ -365,6 +367,7 @@ impl Vm {
                 }
                 Op::MakeClosure(idx) => {
                     let scope = scopes.last().expect("frame scope always present").clone();
+                    self.captured.record(&scope);
                     stack.push(Value::VmFunction(Rc::new(VmClosure {
                         proto: idx as usize,
                         protos: Arc::clone(&protos),
@@ -465,6 +468,12 @@ impl Vm {
             }
         }
         Ok(Value::Null)
+    }
+}
+
+impl Drop for Vm {
+    fn drop(&mut self) {
+        self.captured.clear();
     }
 }
 
