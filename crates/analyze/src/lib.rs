@@ -39,7 +39,7 @@ pub mod effects;
 pub mod passes;
 
 pub use cost::{CostAnalyzer, HandlerCost};
-pub use diag::{diagnostic_json, json_escape, Area, Diagnostic, LintCode, Location, Severity};
+pub use diag::{diagnostic_json, Area, Diagnostic, LintCode, Location, Severity};
 pub use effects::EffectAnalyzer;
 pub use passes::{describe_element, FeasibilityFinding, ListenerInfo};
 
@@ -53,6 +53,7 @@ use greenweb_engine::{
 };
 use greenweb_script::compiler::CompiledProgram;
 use greenweb_script::{compile, parse_program, Program};
+use greenweb_trace::json_escape;
 use std::collections::BTreeMap;
 
 /// One setup script, parsed and compiled at most once. Both bytecode

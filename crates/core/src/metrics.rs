@@ -10,7 +10,9 @@ use crate::degrade::{DegradationLevel, DegradationLog};
 use crate::qos::QosType;
 use greenweb_acmp::{Duration, SimTime};
 use greenweb_css::StyleStats;
-use greenweb_engine::{InputId, LayoutStats, OraclePair, PaintStats, ScriptStats, SimReport};
+use greenweb_engine::{
+    InputId, LayoutStats, OraclePair, PaintStats, RunCounters, ScriptStats, SimReport,
+};
 use greenweb_trace::{Histogram, LatencySummary};
 use std::collections::HashMap;
 
@@ -203,28 +205,19 @@ impl RunMetrics {
     /// serial and parallel batch runs.
     ///
     /// The trailing `"style"`, `"script"`, `"layout"`, and `"paint"`
-    /// objects carry the run's deterministic counters. Each oracle pair
+    /// objects carry the run's deterministic counters, written from the
+    /// engine's counter table ([`greenweb_engine::COUNTERS`]: every row
+    /// flagged for the metrics JSON, in table order). Each oracle pair
     /// may move only the counters its [`OraclePair::mask`] zeroes;
     /// [`RunMetrics::parity_json`] renders with them masked, and the
     /// two sides of a pair must render byte-identically.
     pub fn render_json(&self) -> String {
-        format!(
+        let mut out = format!(
             "{{\"energy_mj\":{},\"violation_pct\":{},\"judged_inputs\":{},\
              \"unjudged_expected\":{},\"frames\":{},\
              \"latency\":{{\"count\":{},\"p50_ms\":{},\"p95_ms\":{},\"p99_ms\":{},\"max_ms\":{}}},\
              \"big_residency\":{},\"switches_per_frame\":{},\
-             \"dvfs_switches\":{},\"migrations\":{},\
-             \"style\":{{\"resolves\":{},\"matches\":{},\"bloom_rejects\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\
-             \"cache_invalidations_avoided\":{}}},\
-             \"script\":{{\"programs\":{},\"compiles\":{},\"precompiled_hits\":{},\
-             \"handlers\":{},\"handler_recompiles\":{},\"callbacks\":{},\
-             \"ops\":{},\"dispatches\":{},\"fold_wins\":{}}},\
-             \"layout\":{{\"relayouts\":{},\"elements_laid_out\":{},\
-             \"subtree_reuses\":{},\"dirty_elements\":{}}},\
-             \"paint\":{{\"full_repaints\":{},\"partial_repaints\":{},\
-             \"items_emitted\":{},\"items_reused\":{},\
-             \"damage_items\":{},\"damage_area\":{}}}}}",
+             \"dvfs_switches\":{},\"migrations\":{},",
             self.energy_mj,
             self.violation_pct,
             self.judged_inputs,
@@ -239,32 +232,16 @@ impl RunMetrics {
             self.switches_per_frame,
             self.switches.0,
             self.switches.1,
-            self.style.resolves,
-            self.style.matches,
-            self.style.bloom_rejects,
-            self.style.cache_hits,
-            self.style.cache_misses,
-            self.style.cache_invalidations_avoided,
-            self.script.programs,
-            self.script.compiles,
-            self.script.precompiled_hits,
-            self.script.handlers,
-            self.script.handler_recompiles,
-            self.script.callbacks,
-            self.script.ops,
-            self.script.dispatches,
-            self.script.fold_wins,
-            self.layout.relayouts,
-            self.layout.elements_laid_out,
-            self.layout.subtree_reuses,
-            self.layout.dirty_elements,
-            self.paint.full_repaints,
-            self.paint.partial_repaints,
-            self.paint.items_emitted,
-            self.paint.items_reused,
-            self.paint.damage_items,
-            self.paint.damage_area,
-        )
+        );
+        RunCounters {
+            style: self.style,
+            script: self.script,
+            layout: self.layout,
+            paint: self.paint,
+        }
+        .push_metrics_json(&mut out);
+        out.push('}');
+        out
     }
 }
 

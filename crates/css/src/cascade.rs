@@ -182,50 +182,6 @@ pub struct StyleStats {
     pub cache_invalidations_avoided: u64,
 }
 
-impl StyleStats {
-    /// Field-wise sum of two counter sets.
-    pub fn merge(&self, other: &StyleStats) -> StyleStats {
-        StyleStats {
-            resolves: self.resolves + other.resolves,
-            matches: self.matches + other.matches,
-            matches_id: self.matches_id + other.matches_id,
-            matches_class: self.matches_class + other.matches_class,
-            matches_tag: self.matches_tag + other.matches_tag,
-            matches_universal: self.matches_universal + other.matches_universal,
-            bloom_rejects: self.bloom_rejects + other.bloom_rejects,
-            naive_resolves: self.naive_resolves + other.naive_resolves,
-            naive_matches: self.naive_matches + other.naive_matches,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            cache_invalidations_avoided: self.cache_invalidations_avoided
-                + other.cache_invalidations_avoided,
-        }
-    }
-
-    /// Field-wise difference `self - earlier` (saturating), for
-    /// before/after deltas around a measured region.
-    pub fn delta_since(&self, earlier: &StyleStats) -> StyleStats {
-        StyleStats {
-            resolves: self.resolves.saturating_sub(earlier.resolves),
-            matches: self.matches.saturating_sub(earlier.matches),
-            matches_id: self.matches_id.saturating_sub(earlier.matches_id),
-            matches_class: self.matches_class.saturating_sub(earlier.matches_class),
-            matches_tag: self.matches_tag.saturating_sub(earlier.matches_tag),
-            matches_universal: self
-                .matches_universal
-                .saturating_sub(earlier.matches_universal),
-            bloom_rejects: self.bloom_rejects.saturating_sub(earlier.bloom_rejects),
-            naive_resolves: self.naive_resolves.saturating_sub(earlier.naive_resolves),
-            naive_matches: self.naive_matches.saturating_sub(earlier.naive_matches),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            cache_invalidations_avoided: self
-                .cache_invalidations_avoided
-                .saturating_sub(earlier.cache_invalidations_avoided),
-        }
-    }
-}
-
 /// Cascade origin/priority level, lowest to highest. Inline declarations
 /// are handled out-of-band (between these two levels when normal, above
 /// both when `!important`).

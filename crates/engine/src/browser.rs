@@ -10,6 +10,7 @@
 
 use crate::app::App;
 use crate::cost::{FrameCostModel, Stage};
+use crate::counters::{CounterRecord, RunCounters};
 use crate::effects::HandlerSummary;
 use crate::events::{InputId, TargetSpec, Trace, TraceEvent};
 use crate::fault::{FaultInjector, FaultPlan, VsyncDisposition};
@@ -647,13 +648,10 @@ impl<S: Scheduler> Browser<S> {
     /// this browser's cache hits/misses.
     pub fn style_stats(&self) -> StyleStats {
         let cache = self.style_cache.borrow();
-        let (cache_hits, cache_misses) = cache.counters();
-        self.style.stats().merge(&StyleStats {
-            cache_hits,
-            cache_misses,
-            cache_invalidations_avoided: cache.invalidations_avoided(),
-            ..StyleStats::default()
-        })
+        let mut stats = self.style.stats();
+        (stats.cache_hits, stats.cache_misses) = cache.counters();
+        stats.cache_invalidations_avoided = cache.invalidations_avoided();
+        stats
     }
 
     /// Every `(node, event)` pair with a registered listener — what
@@ -784,40 +782,16 @@ impl<S: Scheduler> Browser<S> {
                 }
             }
         }
-        let style = self.style_stats();
-        let layout = self.render.layout_stats();
-        let paint = self.render.paint_stats();
+        let counters = RunCounters {
+            style: self.style_stats(),
+            script: self.script_stats(),
+            layout: self.render.layout_stats(),
+            paint: self.render.paint_stats(),
+        };
         if let Some(trace) = self.trace.as_ref() {
-            trace.record(
-                end,
-                TraceKind::RenderStats {
-                    relayouts: layout.relayouts,
-                    elements_laid_out: layout.elements_laid_out,
-                    subtree_reuses: layout.subtree_reuses,
-                    dirty_elements: layout.dirty_elements,
-                    full_repaints: paint.full_repaints,
-                    partial_repaints: paint.partial_repaints,
-                    items_emitted: paint.items_emitted,
-                    items_reused: paint.items_reused,
-                    damage_items: paint.damage_items,
-                    damage_area: paint.damage_area,
-                },
-            );
-            trace.record(
-                end,
-                TraceKind::StyleStats {
-                    resolves: style.resolves,
-                    matches: style.matches,
-                    matches_id: style.matches_id,
-                    matches_class: style.matches_class,
-                    matches_tag: style.matches_tag,
-                    matches_universal: style.matches_universal,
-                    bloom_rejects: style.bloom_rejects,
-                    cache_hits: style.cache_hits,
-                    cache_misses: style.cache_misses,
-                    cache_invalidations_avoided: style.cache_invalidations_avoided,
-                },
-            );
+            for record in [CounterRecord::Render, CounterRecord::Style] {
+                trace.record(end, counters.record_event(record));
+            }
         }
         let mut inputs = self.input_meta.clone();
         for input in &mut inputs {
@@ -834,10 +808,10 @@ impl<S: Scheduler> Browser<S> {
             busy_time: self.cpu.busy_time(),
             total_time: end.since(SimTime::ZERO),
             chaos: self.injector.as_ref().map(FaultInjector::report),
-            style,
-            script: self.script_stats(),
-            layout,
-            paint,
+            style: counters.style,
+            script: counters.script,
+            layout: counters.layout,
+            paint: counters.paint,
             effect_checks: self.effect_checks,
             effect_violations: self.effect_violations.clone(),
         }

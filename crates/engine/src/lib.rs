@@ -42,6 +42,7 @@
 pub mod app;
 pub mod browser;
 pub mod cost;
+pub mod counters;
 pub mod effects;
 pub mod events;
 pub mod fault;
@@ -57,6 +58,7 @@ pub mod style_cache;
 pub use app::{App, AppBuilder};
 pub use browser::{Browser, BrowserError};
 pub use cost::FrameCostModel;
+pub use counters::{Counter, CounterRecord, RunCounters, COUNTERS};
 pub use effects::{EffectSummary, EffectTarget, HandlerSummary, TargetSet};
 pub use events::{InputId, TargetSpec, Trace, TraceBuilder, TraceEvent};
 pub use fault::{

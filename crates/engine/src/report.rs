@@ -1,6 +1,7 @@
 //! Simulation output: everything the evaluation layer needs to compute
 //! the paper's metrics.
 
+use crate::counters::RunCounters;
 use crate::events::InputId;
 use crate::fault::ChaosReport;
 use crate::frame::FrameRecord;
@@ -91,6 +92,16 @@ impl SimReport {
     /// Total energy in millijoules.
     pub fn total_mj(&self) -> f64 {
         self.energy.total_mj()
+    }
+
+    /// The run's typed counters, as the counter table reads them.
+    pub fn counters(&self) -> RunCounters {
+        RunCounters {
+            style: self.style,
+            script: self.script,
+            layout: self.layout,
+            paint: self.paint,
+        }
     }
 
     /// The frames attributed to one input.

@@ -35,65 +35,3 @@ pub struct ScriptStats {
     /// Constant-folding wins across every proto the engine loaded.
     pub fold_wins: u64,
 }
-
-impl ScriptStats {
-    /// Field-wise sum of two counter sets.
-    pub fn merge(&self, other: &ScriptStats) -> ScriptStats {
-        ScriptStats {
-            programs: self.programs + other.programs,
-            compiles: self.compiles + other.compiles,
-            precompiled_hits: self.precompiled_hits + other.precompiled_hits,
-            handlers: self.handlers + other.handlers,
-            handler_recompiles: self.handler_recompiles + other.handler_recompiles,
-            callbacks: self.callbacks + other.callbacks,
-            ops: self.ops + other.ops,
-            dispatches: self.dispatches + other.dispatches,
-            fold_wins: self.fold_wins + other.fold_wins,
-        }
-    }
-
-    /// Field-wise difference `self - earlier` (saturating), for
-    /// before/after deltas around a measured region.
-    pub fn delta_since(&self, earlier: &ScriptStats) -> ScriptStats {
-        ScriptStats {
-            programs: self.programs.saturating_sub(earlier.programs),
-            compiles: self.compiles.saturating_sub(earlier.compiles),
-            precompiled_hits: self
-                .precompiled_hits
-                .saturating_sub(earlier.precompiled_hits),
-            handlers: self.handlers.saturating_sub(earlier.handlers),
-            handler_recompiles: self
-                .handler_recompiles
-                .saturating_sub(earlier.handler_recompiles),
-            callbacks: self.callbacks.saturating_sub(earlier.callbacks),
-            ops: self.ops.saturating_sub(earlier.ops),
-            dispatches: self.dispatches.saturating_sub(earlier.dispatches),
-            fold_wins: self.fold_wins.saturating_sub(earlier.fold_wins),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_and_delta_are_field_wise() {
-        let a = ScriptStats {
-            programs: 1,
-            compiles: 2,
-            precompiled_hits: 1,
-            handlers: 3,
-            handler_recompiles: 0,
-            callbacks: 10,
-            ops: 100,
-            dispatches: 80,
-            fold_wins: 4,
-        };
-        let b = a.merge(&a);
-        assert_eq!(b.ops, 200);
-        assert_eq!(b.dispatches, 160);
-        assert_eq!(b.delta_since(&a), a);
-        assert_eq!(a.delta_since(&b), ScriptStats::default());
-    }
-}

@@ -18,8 +18,8 @@
 //! no maps with nondeterministic iteration order, so identical runs
 //! produce byte-identical profiles — serial vs parallel, run vs re-run.
 
-use crate::event::{EventKind, SpanKind};
-use crate::export::{open_event, push_f64, push_json_str, push_uids};
+use crate::event::{CounterRow, EventKind, SpanKind, RENDER_STATS, STYLE_STATS};
+use crate::export::{open_event, push_counters, push_f64, push_json_str, push_uids};
 use crate::metrics::Histogram;
 use crate::recorder::TraceBuffer;
 use greenweb_acmp::{Duration, SimTime};
@@ -104,7 +104,7 @@ pub struct CallbackCost {
 }
 
 /// Exact selector-match work per rule bucket, from the run's
-/// `StyleStats` record.
+/// [`STYLE_STATS`] counter record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BucketCost {
     /// Bucket name: `"id"`, `"class"`, `"tag"`, `"universal"`.
@@ -113,32 +113,6 @@ pub struct BucketCost {
     pub matches: u64,
     /// This bucket's share of all exact walks (0 when none ran).
     pub share: f64,
-}
-
-/// The run's render-pipeline counters, lifted from the `RenderStats`
-/// record: layout dirtiness/reuse and paint damage, as one roll-up row.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RenderWork {
-    /// Frames laid out.
-    pub relayouts: u64,
-    /// Elements actually measured across the run.
-    pub elements_laid_out: u64,
-    /// Clean subtrees served whole from the measure cache.
-    pub subtree_reuses: u64,
-    /// Elements whose subtree fingerprint changed.
-    pub dirty_elements: u64,
-    /// Frames charged the full paint price.
-    pub full_repaints: u64,
-    /// Frames charged a damaged-fraction paint price.
-    pub partial_repaints: u64,
-    /// Display items (re)built.
-    pub items_emitted: u64,
-    /// Retained display items reused unchanged.
-    pub items_reused: u64,
-    /// Damaged display items.
-    pub damage_items: u64,
-    /// Damaged area, px².
-    pub damage_area: u64,
 }
 
 /// Why one deadline was missed: the commit that blew its target and the
@@ -175,9 +149,10 @@ pub struct AttributionProfile {
     pub buckets: Vec<BucketCost>,
     /// Deadline-miss forensics, commit order.
     pub forensics: Vec<ViolationForensics>,
-    /// Render-pipeline counters (layout dirtiness, paint damage) from
-    /// the run's `RenderStats` record; zeros when the trace has none.
-    pub render: RenderWork,
+    /// The `(group, key, value)` rows of the run's [`RENDER_STATS`]
+    /// counter record (layout dirtiness, paint damage), in record order;
+    /// empty when the trace has none.
+    pub render: Vec<CounterRow>,
     /// Energy per pipeline phase, indexed like [`SpanKind::ALL`].
     pub phase_mj: [f64; 6],
     /// Energy in sample intervals no span covered.
@@ -220,8 +195,8 @@ impl AttributionProfile {
         let mut commits: Vec<(SimTime, u64, u32, &'static str, Duration)> = Vec::new();
         let mut switch_times: Vec<SimTime> = Vec::new();
         let mut targets: Vec<(SimTime, u64, f64)> = Vec::new();
-        let mut bucket_counts: Option<[u64; 4]> = None;
-        let mut render = RenderWork::default();
+        let mut style: &[CounterRow] = &[];
+        let mut render: &[CounterRow] = &[];
         let (mut switch_dvfs, mut switch_migration) = (0u64, 0u64);
         for record in &buffer.events {
             match &record.kind {
@@ -261,45 +236,11 @@ impl AttributionProfile {
                 EventKind::Decision { target_ms, .. } => {
                     targets.push((record.at, record.seq, *target_ms));
                 }
-                EventKind::StyleStats {
-                    matches_id,
-                    matches_class,
-                    matches_tag,
-                    matches_universal,
-                    ..
-                } => {
-                    bucket_counts = Some([
-                        *matches_id,
-                        *matches_class,
-                        *matches_tag,
-                        *matches_universal,
-                    ]);
-                }
-                EventKind::RenderStats {
-                    relayouts,
-                    elements_laid_out,
-                    subtree_reuses,
-                    dirty_elements,
-                    full_repaints,
-                    partial_repaints,
-                    items_emitted,
-                    items_reused,
-                    damage_items,
-                    damage_area,
-                } => {
-                    render = RenderWork {
-                        relayouts: *relayouts,
-                        elements_laid_out: *elements_laid_out,
-                        subtree_reuses: *subtree_reuses,
-                        dirty_elements: *dirty_elements,
-                        full_repaints: *full_repaints,
-                        partial_repaints: *partial_repaints,
-                        items_emitted: *items_emitted,
-                        items_reused: *items_reused,
-                        damage_items: *damage_items,
-                        damage_area: *damage_area,
-                    };
-                }
+                EventKind::Counters { name, values, .. } => match *name {
+                    STYLE_STATS => style = values,
+                    RENDER_STATS => render = values,
+                    _ => {}
+                },
                 _ => {}
             }
         }
@@ -446,12 +387,17 @@ impl AttributionProfile {
                 .total_cmp(&a.total_mj)
                 .then_with(|| a.label.cmp(&b.label))
         });
-        let counts = bucket_counts.unwrap_or([0; 4]);
-        let matched: u64 = counts.iter().sum();
-        let mut buckets: Vec<BucketCost> = ["id", "class", "tag", "universal"]
-            .iter()
-            .zip(counts)
-            .map(|(&bucket, matches)| BucketCost {
+        let counts = [
+            ("id", "matches_id"),
+            ("class", "matches_class"),
+            ("tag", "matches_tag"),
+            ("universal", "matches_universal"),
+        ]
+        .map(|(bucket, key)| (bucket, counter(style, key)));
+        let matched: u64 = counts.iter().map(|&(_, matches)| matches).sum();
+        let mut buckets: Vec<BucketCost> = counts
+            .into_iter()
+            .map(|(bucket, matches)| BucketCost {
                 bucket,
                 matches,
                 share: if matched > 0 {
@@ -472,7 +418,7 @@ impl AttributionProfile {
             callbacks,
             buckets,
             forensics,
-            render,
+            render: render.to_vec(),
             phase_mj,
             idle_mj,
             unattributed_mj: 0.0,
@@ -566,24 +512,8 @@ impl AttributionProfile {
             push_f64(&mut out, bucket.share);
             out.push('}');
         }
-        let r = &self.render;
-        let _ = write!(
-            out,
-            "],\"render\":{{\"relayouts\":{},\"elements_laid_out\":{},\
-             \"subtree_reuses\":{},\"dirty_elements\":{},\"full_repaints\":{},\
-             \"partial_repaints\":{},\"items_emitted\":{},\"items_reused\":{},\
-             \"damage_items\":{},\"damage_area\":{}}}",
-            r.relayouts,
-            r.elements_laid_out,
-            r.subtree_reuses,
-            r.dirty_elements,
-            r.full_repaints,
-            r.partial_repaints,
-            r.items_emitted,
-            r.items_reused,
-            r.damage_items,
-            r.damage_area,
-        );
+        out.push_str("],\"render\":");
+        push_counters(&mut out, &self.render);
         out.push_str(",\"forensics\":[");
         for (i, f) in self.forensics.iter().enumerate() {
             if i > 0 {
@@ -730,19 +660,19 @@ impl AttributionProfile {
             );
         }
         out.push('\n');
-        let r = &self.render;
+        let r = |key| counter(&self.render, key);
         let _ = writeln!(
             out,
             "render: {} relayouts, {} laid out ({} dirty, {} subtree reuses), \
              paint {} full / {} partial, damage {} items / {} px2",
-            r.relayouts,
-            r.elements_laid_out,
-            r.dirty_elements,
-            r.subtree_reuses,
-            r.full_repaints,
-            r.partial_repaints,
-            r.damage_items,
-            r.damage_area,
+            r("relayouts"),
+            r("elements_laid_out"),
+            r("dirty_elements"),
+            r("subtree_reuses"),
+            r("full_repaints"),
+            r("partial_repaints"),
+            r("damage_items"),
+            r("damage_area"),
         );
         let _ = writeln!(
             out,
@@ -780,6 +710,13 @@ impl AttributionProfile {
         }
         out
     }
+}
+
+/// The value of the counter row keyed `key` (0 when absent).
+fn counter(rows: &[CounterRow], key: &str) -> u64 {
+    rows.iter()
+        .find(|&&(_, k, _)| k == key)
+        .map_or(0, |&(_, _, value)| value)
 }
 
 fn push_phases(out: &mut String, phases: &[f64; 6]) {

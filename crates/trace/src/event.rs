@@ -49,6 +49,17 @@ impl SpanKind {
     }
 }
 
+/// Name of the end-of-run style-system counter record: exact selector
+/// matching, Bloom rejects and computed-style cache counters.
+pub const STYLE_STATS: &str = "style-stats";
+
+/// Name of the end-of-run render-pipeline counter record: layout
+/// dirtiness/reuse and paint damage.
+pub const RENDER_STATS: &str = "render-stats";
+
+/// One row of a counter record: `(group, key, value)`.
+pub type CounterRow = (&'static str, &'static str, u64);
+
 /// One typed trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
@@ -122,64 +133,20 @@ pub enum EventKind {
         /// Whether the CPU was executing work.
         busy: bool,
     },
-    /// End-of-run style-system counters: how much exact selector
-    /// matching the bucketed resolver ran, what the ancestor Bloom
-    /// filter rejected, and how the computed-style cache performed.
-    /// Deterministic counters (never wall-clock), recorded once when the
-    /// report is built.
-    StyleStats {
-        /// Bucketed style resolutions performed.
-        resolves: u64,
-        /// Exact selector match walks the bucketed path ran.
-        matches: u64,
-        /// Exact walks on candidates drawn from the id bucket. The four
-        /// per-bucket counters partition `matches` and feed the
-        /// attribution profiler's per-selector-bucket ranking.
-        matches_id: u64,
-        /// Exact walks on candidates drawn from a class bucket.
-        matches_class: u64,
-        /// Exact walks on candidates drawn from the tag bucket.
-        matches_tag: u64,
-        /// Exact walks on candidates drawn from the universal
-        /// spill-over.
-        matches_universal: u64,
-        /// Candidates rejected by the ancestor Bloom filter alone.
-        bloom_rejects: u64,
-        /// Computed-style cache hits.
-        cache_hits: u64,
-        /// Computed-style cache misses.
-        cache_misses: u64,
-        /// Clear-alls downgraded to targeted invalidation because a
-        /// static effect summary proved structure could not change.
-        cache_invalidations_avoided: u64,
-    },
-    /// Deterministic render-pipeline counters (layout + paint), recorded
-    /// once when the report is built, next to [`EventKind::StyleStats`].
-    /// The dirty/damage numbers are identical whichever rendering mode
-    /// (incremental or the naive oracle) produced them; the
-    /// laid-out/reuse split is where the modes differ.
-    RenderStats {
-        /// Frames laid out (one per produced frame).
-        relayouts: u64,
-        /// Elements actually measured across the run.
-        elements_laid_out: u64,
-        /// Clean subtrees served whole from the measure cache.
-        subtree_reuses: u64,
-        /// Elements whose subtree fingerprint changed (prices layout).
-        dirty_elements: u64,
-        /// Frames charged the full flat paint price.
-        full_repaints: u64,
-        /// Frames charged a partial (damaged-fraction) paint price.
-        partial_repaints: u64,
-        /// Display items (re)built.
-        items_emitted: u64,
-        /// Retained display items reused unchanged.
-        items_reused: u64,
-        /// Damaged items: changed + appeared + disappeared (prices
-        /// paint).
-        damage_items: u64,
-        /// Damaged area, px².
-        damage_area: u64,
+    /// A named set of deterministic end-of-run counters (never
+    /// wall-clock), recorded once when the report is built. Which
+    /// counters a record carries is decided by the engine's counter
+    /// table (`greenweb_engine::counters`); every consumer here renders
+    /// the rows generically.
+    Counters {
+        /// Record name, e.g. [`STYLE_STATS`] or [`RENDER_STATS`].
+        name: &'static str,
+        /// Export category.
+        cat: &'static str,
+        /// `(group, key, value)` rows in table order. The registry
+        /// names each counter `group.key`; the Chrome export and the
+        /// attribution profiler key it by `key` alone.
+        values: Vec<CounterRow>,
     },
     /// A frame committed, answering one input (one per
     /// `FrameRecord`).
@@ -207,8 +174,7 @@ impl EventKind {
             EventKind::Ladder { .. } => "ladder",
             EventKind::Fault { .. } => "fault",
             EventKind::EnergySample { .. } => "energy-sample",
-            EventKind::StyleStats { .. } => "style-stats",
-            EventKind::RenderStats { .. } => "render-stats",
+            EventKind::Counters { name, .. } => name,
             EventKind::FrameCommit { .. } => "frame-commit",
         }
     }

@@ -7,11 +7,11 @@
 //! shortest-round-trip `Display` — so identical runs export identical
 //! bytes.
 
-use crate::event::{EventKind, SpanKind, TraceRecord};
+use crate::event::{CounterRow, EventKind, SpanKind, TraceRecord};
 use crate::metrics::MetricsRegistry;
 use crate::recorder::TraceBuffer;
 use greenweb_acmp::SimTime;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// The simulated process id every event maps to.
 const PID: u32 = 1;
@@ -44,22 +44,56 @@ pub(crate) fn push_f64(out: &mut String, value: f64) {
     }
 }
 
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// `s` escaped for the body of a JSON string literal (no surrounding
+/// quotes), rendered through `Display`. Quote, backslash, newline,
+/// carriage return and tab get their short escapes (`\"`, `\\`, `\n`,
+/// `\r`, `\t`), every other control character `\u00XX`. The
+/// workspace's one JSON string escaper.
+pub fn json_escape(s: &str) -> impl fmt::Display + '_ {
+    JsonEscaped(s)
+}
+
+struct JsonEscaped<'a>(&'a str);
+
+impl fmt::Display for JsonEscaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut clean = 0;
+        for (i, c) in self.0.char_indices() {
+            if c != '"' && c != '\\' && c >= ' ' {
+                continue;
             }
-            c => out.push(c),
+            f.write_str(&self.0[clean..i])?;
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c => write!(f, "\\u{:04x}", c as u32)?,
+            }
+            clean = i + c.len_utf8();
         }
+        f.write_str(&self.0[clean..])
     }
-    out.push('"');
+}
+
+/// Appends `s` as a quoted JSON string.
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
+    let _ = write!(out, "\"{}\"", json_escape(s));
+}
+
+/// Appends `rows` as one flat JSON object keyed by each row's key, in
+/// row order: the args of a counter record and the attribution
+/// profile's `"render"` object.
+pub(crate) fn push_counters(out: &mut String, rows: &[CounterRow]) {
+    out.push('{');
+    for (i, (_, key, value)) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{key}\":{value}");
+    }
+    out.push('}');
 }
 
 /// Opens one event object with the common fields.
@@ -183,53 +217,11 @@ fn write_event(out: &mut String, record: &TraceRecord) {
             open_event(out, "freq_mhz", "power", 'C', 0, ts_us(record.at));
             let _ = write!(out, ",\"args\":{{\"mhz\":{}}}}}", config.freq_mhz);
         }
-        EventKind::StyleStats {
-            resolves,
-            matches,
-            matches_id,
-            matches_class,
-            matches_tag,
-            matches_universal,
-            bloom_rejects,
-            cache_hits,
-            cache_misses,
-            cache_invalidations_avoided,
-        } => {
-            open_event(out, "style-stats", "style", 'I', 1, ts_us(record.at));
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"resolves\":{resolves},\"matches\":{matches},\
-                 \"matches_id\":{matches_id},\"matches_class\":{matches_class},\
-                 \"matches_tag\":{matches_tag},\"matches_universal\":{matches_universal},\
-                 \"bloom_rejects\":{bloom_rejects},\"cache_hits\":{cache_hits},\
-                 \"cache_misses\":{cache_misses},\
-                 \"cache_invalidations_avoided\":{cache_invalidations_avoided}}}}}"
-            );
-        }
-        EventKind::RenderStats {
-            relayouts,
-            elements_laid_out,
-            subtree_reuses,
-            dirty_elements,
-            full_repaints,
-            partial_repaints,
-            items_emitted,
-            items_reused,
-            damage_items,
-            damage_area,
-        } => {
-            open_event(out, "render-stats", "render", 'I', 1, ts_us(record.at));
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"relayouts\":{relayouts},\
-                 \"elements_laid_out\":{elements_laid_out},\
-                 \"subtree_reuses\":{subtree_reuses},\
-                 \"dirty_elements\":{dirty_elements},\
-                 \"full_repaints\":{full_repaints},\
-                 \"partial_repaints\":{partial_repaints},\
-                 \"items_emitted\":{items_emitted},\"items_reused\":{items_reused},\
-                 \"damage_items\":{damage_items},\"damage_area\":{damage_area}}}}}"
-            );
+        EventKind::Counters { name, cat, values } => {
+            open_event(out, name, cat, 'I', 1, ts_us(record.at));
+            out.push_str(",\"s\":\"t\",\"args\":");
+            push_counters(out, values);
+            out.push('}');
         }
         EventKind::FrameCommit {
             uid,
@@ -436,6 +428,13 @@ mod tests {
         assert!(json.contains("\"predicted_ms\":12.5"));
         assert!(json.contains("demo \\\"app\\\""), "escaping broken");
         assert!(json.contains("tick \\\"dropped\\\"\\n"));
+    }
+
+    #[test]
+    fn json_escape_handles_controls() {
+        assert_eq!(json_escape("a\"b\\c\nd").to_string(), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}").to_string(), "\\u0001");
+        assert_eq!(json_escape("\r\t\u{1f}é").to_string(), "\\r\\t\\u001fé");
     }
 
     #[test]

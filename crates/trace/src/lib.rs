@@ -60,8 +60,8 @@ pub mod recorder;
 pub use attribution::{
     AttributionProfile, AttributionSummary, EventAttribution, ViolationForensics,
 };
-pub use event::{EventKind, SpanKind, TraceRecord};
-pub use export::{chrome_trace_json, flame_summary};
+pub use event::{CounterRow, EventKind, SpanKind, TraceRecord, RENDER_STATS, STYLE_STATS};
+pub use export::{chrome_trace_json, flame_summary, json_escape};
 pub use merge::merge_buffers;
 pub use metrics::{Histogram, LatencySummary, MetricsRegistry};
 pub use recorder::{record_into, TraceBuffer, TraceHandle, TraceRecorder};

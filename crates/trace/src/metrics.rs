@@ -276,8 +276,9 @@ impl MetricsRegistry {
     /// Builds the registry a trace implies: per-stage span-duration
     /// histograms (`stage.<name>`), per-event-type frame-latency
     /// histograms (`frame.<event>` plus the aggregate `frame.latency`),
-    /// and one counter per event kind (`count.<name>`, with switches
-    /// split by kind and faults by category).
+    /// one counter per event kind (`count.<name>`, with switches split
+    /// by kind and faults by category), and every row of every counter
+    /// record as `<group>.<key>`.
     pub fn from_trace(buffer: &TraceBuffer) -> Self {
         let mut registry = MetricsRegistry::new();
         for record in &buffer.events {
@@ -301,54 +302,10 @@ impl MetricsRegistry {
                 EventKind::Fault { category, .. } => {
                     registry.inc(&format!("fault.{category}"));
                 }
-                EventKind::StyleStats {
-                    resolves,
-                    matches,
-                    matches_id,
-                    matches_class,
-                    matches_tag,
-                    matches_universal,
-                    bloom_rejects,
-                    cache_hits,
-                    cache_misses,
-                    cache_invalidations_avoided,
-                } => {
-                    registry.inc_by("style.resolves", *resolves);
-                    registry.inc_by("style.matches", *matches);
-                    registry.inc_by("style.matches_id", *matches_id);
-                    registry.inc_by("style.matches_class", *matches_class);
-                    registry.inc_by("style.matches_tag", *matches_tag);
-                    registry.inc_by("style.matches_universal", *matches_universal);
-                    registry.inc_by("style.bloom_rejects", *bloom_rejects);
-                    registry.inc_by("style.cache_hits", *cache_hits);
-                    registry.inc_by("style.cache_misses", *cache_misses);
-                    registry.inc_by(
-                        "style.cache_invalidations_avoided",
-                        *cache_invalidations_avoided,
-                    );
-                }
-                EventKind::RenderStats {
-                    relayouts,
-                    elements_laid_out,
-                    subtree_reuses,
-                    dirty_elements,
-                    full_repaints,
-                    partial_repaints,
-                    items_emitted,
-                    items_reused,
-                    damage_items,
-                    damage_area,
-                } => {
-                    registry.inc_by("layout.relayouts", *relayouts);
-                    registry.inc_by("layout.elements_laid_out", *elements_laid_out);
-                    registry.inc_by("layout.subtree_reuses", *subtree_reuses);
-                    registry.inc_by("layout.dirty_elements", *dirty_elements);
-                    registry.inc_by("paint.full_repaints", *full_repaints);
-                    registry.inc_by("paint.partial_repaints", *partial_repaints);
-                    registry.inc_by("paint.items_emitted", *items_emitted);
-                    registry.inc_by("paint.items_reused", *items_reused);
-                    registry.inc_by("paint.damage_items", *damage_items);
-                    registry.inc_by("paint.damage_area", *damage_area);
+                EventKind::Counters { values, .. } => {
+                    for (group, key, value) in values {
+                        registry.inc_by(&format!("{group}.{key}"), *value);
+                    }
                 }
                 _ => {}
             }

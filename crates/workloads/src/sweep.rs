@@ -28,7 +28,6 @@
 use crate::harness::{expectations, Policy};
 use greenweb::metrics::RunMetrics;
 use greenweb::qos::Scenario;
-use greenweb_analyze::json_escape;
 use greenweb_engine::{
     App, RunBudget, RunSpec, Scheduler, SchedulerFactory, SimReport, TargetSpec, Trace,
 };
@@ -37,7 +36,7 @@ use greenweb_fleet::{
     SupervisedJob,
 };
 use greenweb_trace::metrics::Histogram;
-use greenweb_trace::{AttributionProfile, AttributionSummary, SpanKind};
+use greenweb_trace::{json_escape, AttributionProfile, AttributionSummary, SpanKind};
 use std::fmt;
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};

@@ -10,16 +10,24 @@
 //! 5. the attribution profiler conserves energy (per-event phase
 //!    attribution + idle + unattributed = the measured total), names
 //!    spans that actually overlap every missed frame's window, and
-//!    renders byte-identically across worker counts and repeated runs.
+//!    renders byte-identically across worker counts and repeated runs,
+//!    and
+//! 6. every row of the engine's counter table reaches exactly the
+//!    surfaces it names — registry, counter-record export args, metrics
+//!    JSON — with the run's value, in table order.
 
+use greenweb::metrics::RunMetrics;
 use greenweb::qos::Scenario;
 use greenweb::GreenWebScheduler;
-use greenweb_engine::FaultPlan;
+use greenweb_engine::{CounterRecord, FaultPlan, COUNTERS};
 use greenweb_fleet::{run_specs, Jobs};
-use greenweb_trace::{chrome_trace_json, AttributionProfile, EventKind, SpanKind, TraceBuffer};
+use greenweb_trace::{
+    chrome_trace_json, AttributionProfile, EventKind, MetricsRegistry, SpanKind, TraceBuffer,
+};
 use greenweb_workloads::by_name;
 use greenweb_workloads::chaos::chaos_run_traced;
 use greenweb_workloads::harness::{lower, run_traced, Policy};
+use std::collections::HashMap;
 
 fn traced_run(name: &str) -> (greenweb_engine::SimReport, TraceBuffer) {
     let w = by_name(name).expect("workload exists");
@@ -239,4 +247,83 @@ fn attribution_profiles_are_byte_identical_serial_vs_parallel() {
         serial, repeated,
         "same seed re-run changed the profile bytes"
     );
+}
+
+/// `(key, value)` pairs of a flat JSON object of integers, in order.
+fn flat_object(object: &str) -> Vec<(String, u64)> {
+    let body = object
+        .strip_prefix('{')
+        .and_then(|o| o.strip_suffix('}'))
+        .expect("flat object");
+    body.split(',')
+        .map(|pair| {
+            let (key, value) = pair.split_once(':').expect("key:value");
+            (
+                key.trim_matches('"').to_string(),
+                value.parse().expect("integer counter"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn counter_table_rows_reach_exactly_their_surfaces() {
+    let (report, buffer) = traced_run("Todo");
+    let counters = report.counters();
+    let value = |row: &greenweb_engine::Counter| (row.value)(&counters);
+
+    // Registry: every recorded row as `group.key` with the report's
+    // value; rows no record carries are absent.
+    let registry = MetricsRegistry::from_trace(&buffer);
+    let names: Vec<&str> = registry.counters().map(|(name, _)| name).collect();
+    for row in COUNTERS {
+        let name = format!("{}.{}", row.group, row.key);
+        assert_eq!(
+            names.contains(&name.as_str()),
+            row.record.is_some(),
+            "{name} in registry"
+        );
+        if row.record.is_some() {
+            assert_eq!(registry.counter(&name), value(row), "{name}");
+        }
+    }
+
+    // Export: each counter record's args are exactly its rows, in table
+    // order, with the report's values.
+    let json = chrome_trace_json(&buffer, "Todo");
+    for record in [CounterRecord::Style, CounterRecord::Render] {
+        let head = format!("{{\"name\":\"{}\",", record.name());
+        let line = json
+            .lines()
+            .find(|line| line.starts_with(&head))
+            .unwrap_or_else(|| panic!("no {} record", record.name()));
+        let args = &line[line.find("\"args\":").expect("args") + 7..];
+        let args = args.trim_end_matches(',').strip_suffix('}').expect("event");
+        let expected: Vec<(String, u64)> = COUNTERS
+            .iter()
+            .filter(|row| row.record == Some(record))
+            .map(|row| (row.key.to_string(), value(row)))
+            .collect();
+        assert_eq!(flat_object(args), expected, "{} args", record.name());
+    }
+
+    // Metrics JSON: the trailing group objects hold exactly the
+    // metrics-flagged rows, in table order.
+    let metrics = RunMetrics::compute(&report, &HashMap::new()).render_json();
+    let tail = &metrics[metrics.find("\"style\":{").expect("style object")..];
+    let tail = tail.strip_suffix('}').expect("closing brace");
+    let mut rendered = Vec::new();
+    for object in tail.split("},") {
+        let (group, body) = object.split_once(":{").expect("group object");
+        let body = body.trim_end_matches('}');
+        for (key, v) in flat_object(&format!("{{{body}}}")) {
+            rendered.push((group.trim_matches('"').to_string(), key, v));
+        }
+    }
+    let expected: Vec<(String, String, u64)> = COUNTERS
+        .iter()
+        .filter(|row| row.metrics)
+        .map(|row| (row.group.to_string(), row.key.to_string(), value(row)))
+        .collect();
+    assert_eq!(rendered, expected);
 }
