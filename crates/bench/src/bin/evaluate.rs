@@ -11,7 +11,7 @@
 //! evaluate ablation                   design-choice ablations
 //! evaluate percentiles                per-stage latency percentiles + flame
 //! evaluate all                        everything above
-//! evaluate bench                      serial-vs-parallel wall-clock
+//! evaluate bench                      serial ≡ parallel + simulated phases
 //! evaluate bench --suite style        style resolver microbenchmark
 //! evaluate bench --suite script       script-pipeline compile-once suite
 //! evaluate bench --suite paint        incremental render-pipeline suite
@@ -51,14 +51,14 @@
 //! `diff` flags:
 //!
 //! ```text
-//! --tolerance T         max relative numeric drift, default 0.05 (5%)
-//! --ignore a,b,c        key names skipped at any depth (use for
-//!                       wall-clock fields like serial_s/speedup)
+//! --tolerance T         max relative numeric drift, a finite number
+//!                       >= 0, default 0.05 (5%)
+//! --ignore a,b,c        key names skipped at any depth
 //! ```
 //!
-//! `diff` exits 0 when the documents agree within tolerance and 1 with
-//! one line per differing field otherwise — CI's regression gate over
-//! the committed `BENCH_evaluate.json`.
+//! `diff` exits 0 when the documents agree within tolerance, 1 with one
+//! line per differing field otherwise, and 2 on a usage, read or parse
+//! error — CI's regression gate over the committed `BENCH_evaluate.json`.
 //!
 //! `soundness` runs every workload's full trace under each paper policy
 //! with the statically inferred effect summaries attached and fails if
@@ -83,17 +83,15 @@
 //! aborted mid-run (`GREENWEB_ABORT_AFTER=K` aborts after K new result
 //! lines — the hook CI's resume-parity gate kills with).
 //!
-//! `bench` (micro) times the microbenchmark suite serially and at
-//! `--jobs`, adds per-phase pipeline totals from one traced run per
-//! workload (plus a labeled aggregate), and writes the comparison to
-//! `BENCH_evaluate.json`. `bench --suite style` runs
-//! the naive-vs-bucketed selector-matching suite and writes
-//! `BENCH_style.json`. `bench --suite script` runs the script-pipeline
-//! compile-once suite (bytecode VM vs tree-walking oracle, counters
-//! only) and writes `BENCH_script.json`. `bench --suite paint` runs the
-//! incremental-rendering suite (naive full relayout vs cached
-//! subtrees + retained display list, counters only) and writes
-//! `BENCH_paint.json`. `metrics` prints one workload's deterministic
+//! `bench --suite NAME` runs one suite of
+//! [`greenweb_bench::suites::SUITES`] and prints its table. If the
+//! suite's acceptance gate fails it exits 1 without writing; otherwise
+//! it writes the suite's `BENCH_*.json` into the working directory
+//! (`micro`: `BENCH_evaluate.json`, serial ≡ `--jobs` parity plus
+//! per-phase simulated pipeline totals; `style`, `script`, `paint`:
+//! counters of each optimized path against its oracle).
+//! `tests/bench_artifacts.rs` checks the committed files equal a fresh
+//! run. `metrics` prints one workload's deterministic
 //! [`RunMetrics`] JSON on the production paths — the same setup the
 //! oracle parity test (`tests/oracle_parity.rs`) runs once per oracle
 //! pair side.
@@ -102,7 +100,7 @@
 
 use greenweb::autogreen::AutoGreen;
 use greenweb::qos::Scenario;
-use greenweb_bench::figures::{run_apps, run_suite_with, AppRuns, SuiteKind};
+use greenweb_bench::figures::{run_suite_with, AppRuns, SuiteKind};
 use greenweb_bench::{ablation, profile, render, tables};
 use greenweb_fleet::Jobs;
 use greenweb_workloads::harness::{expectations, run, Policy};
@@ -123,7 +121,7 @@ fn main() {
     let mut json_output = false;
     let mut flame_output = false;
     let mut poison_summaries = false;
-    let mut tolerance: f64 = 0.05;
+    let mut tolerance = String::from("0.05");
     let mut ignore = String::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -158,13 +156,7 @@ fn main() {
             "--json" => json_output = true,
             "--flame" => flame_output = true,
             "--poison-summaries" => poison_summaries = true,
-            "--tolerance" => {
-                tolerance = argv
-                    .next()
-                    .expect("--tolerance requires a value")
-                    .parse()
-                    .expect("--tolerance requires a number");
-            }
+            "--tolerance" => tolerance = argv.next().unwrap_or_default(),
             "--ignore" => ignore = argv.next().expect("--ignore requires a key list"),
             other => {
                 // First bare word is the command; the rest are its
@@ -189,16 +181,7 @@ fn main() {
     let wants = |name: &str| command == name || command == "all";
 
     if command == "bench" {
-        match suite_name.as_str() {
-            "micro" => bench_report(jobs),
-            "style" => style_bench_report(),
-            "script" => script_bench_report(),
-            "paint" => paint_bench_report(),
-            other => {
-                panic!("unknown bench suite {other:?} (expected micro, style, script, or paint)")
-            }
-        }
-        return;
+        std::process::exit(bench_command(&suite_name, jobs));
     }
     if command == "metrics" {
         metrics_report(&workload);
@@ -218,7 +201,7 @@ fn main() {
         return;
     }
     if command == "diff" {
-        std::process::exit(diff_command(&positionals, tolerance, &ignore));
+        std::process::exit(diff_command(&positionals, &tolerance, &ignore));
     }
 
     if wants("table1") {
@@ -487,33 +470,22 @@ fn attribute_command(workload: &str, json_output: bool, flame_output: bool) {
 
 /// Compares two JSON files field by field and returns the process exit
 /// code: 0 when they agree within tolerance, 1 otherwise (one stdout
-/// line per differing field).
-fn diff_command(paths: &[String], tolerance: f64, ignore: &str) -> i32 {
-    use greenweb_bench::diff::{diff_json, DiffOptions};
-    let [old_path, new_path] = paths else {
-        eprintln!("diff requires exactly two paths: evaluate diff OLD.json NEW.json");
-        return 1;
-    };
-    let read = |path: &String| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"))
-    };
-    let options = DiffOptions {
-        tolerance,
-        ignore: ignore
-            .split(',')
-            .filter(|key| !key.is_empty())
-            .map(str::to_string)
-            .collect(),
-    };
-    match diff_json(&read(old_path), &read(new_path), &options) {
-        Ok(differences) if differences.is_empty() => {
+/// line per differing field), 2 when they could not be compared.
+fn diff_command(paths: &[String], tolerance: &str, ignore: &str) -> i32 {
+    use greenweb_bench::diff::{diff_files, DiffOptions};
+    let outcome = DiffOptions::from_flags(tolerance, ignore)
+        .and_then(|options| Ok((diff_files(paths, &options)?, options.tolerance)));
+    match outcome {
+        Ok((differences, tolerance)) if differences.is_empty() => {
             println!(
-                "{old_path} and {new_path} agree within {:.1}% tolerance",
+                "{} and {} agree within {:.1}% tolerance",
+                paths[0],
+                paths[1],
                 tolerance * 100.0
             );
             0
         }
-        Ok(differences) => {
+        Ok((differences, tolerance)) => {
             for difference in &differences {
                 println!("{difference}");
             }
@@ -526,7 +498,7 @@ fn diff_command(paths: &[String], tolerance: f64, ignore: &str) -> i32 {
         }
         Err(e) => {
             eprintln!("diff failed: {e}");
-            1
+            2
         }
     }
 }
@@ -542,156 +514,31 @@ fn suite(
     })
 }
 
-/// Times the microbenchmark suite serially and at `jobs`, checks the two
-/// results agree bit for bit, and writes `BENCH_evaluate.json`.
-fn bench_report(jobs: Jobs) {
-    use std::time::Instant;
-    let workloads = greenweb_workloads::all();
-    eprintln!("timing micro suite serially...");
-    let started = Instant::now();
-    let serial = run_apps(&workloads, SuiteKind::Micro, Jobs::serial());
-    let serial_s = started.elapsed().as_secs_f64();
-    eprintln!("timing micro suite at {jobs} worker(s)...");
-    let started = Instant::now();
-    let parallel = run_apps(&workloads, SuiteKind::Micro, jobs);
-    let parallel_s = started.elapsed().as_secs_f64();
-    let identical = serial.len() == parallel.len()
-        && serial.iter().zip(&parallel).all(|(a, b)| {
-            a.perf.report.total_mj() == b.perf.report.total_mj()
-                && a.interactive.report.total_mj() == b.interactive.report.total_mj()
-                && a.greenweb_i.metrics_i.render_json() == b.greenweb_i.metrics_i.render_json()
-                && a.greenweb_u.metrics_u.render_json() == b.greenweb_u.metrics_u.render_json()
-        });
-    assert!(identical, "serial and parallel suites diverged");
-    // Per-phase pipeline totals from one traced run per workload:
-    // simulated-time span durations, so these are deterministic (unlike
-    // the wall-clock numbers above) and labeled `"clock":"sim"` in the
-    // JSON. "script" is the callback stage.
-    // Every workload gets its own breakdown plus a labeled aggregate —
-    // a suite-wide number used to hide per-app regressions behind
-    // Paper.js, the only app the old report covered.
-    let mut per_workload = Vec::with_capacity(workloads.len());
-    let mut aggregate = [0.0f64; 4];
-    for w in &workloads {
-        let profiled = profile::profile(
-            w,
-            &Policy::GreenWeb(Scenario::Imperceptible),
-            Scenario::Imperceptible,
-        )
-        .expect("traced run");
-        let registry = greenweb_trace::MetricsRegistry::from_trace(&profiled.buffer);
-        let stage_total_ms = |kind: greenweb_trace::SpanKind| {
-            registry
-                .histogram(&format!("stage.{}", kind.name()))
-                .map_or(0.0, |h| h.mean() * h.count() as f64)
-        };
-        let phases = [
-            stage_total_ms(greenweb_trace::SpanKind::Style),
-            stage_total_ms(greenweb_trace::SpanKind::Layout),
-            stage_total_ms(greenweb_trace::SpanKind::Paint),
-            stage_total_ms(greenweb_trace::SpanKind::Callback),
-        ];
-        for (total, phase) in aggregate.iter_mut().zip(&phases) {
-            *total += phase;
-        }
-        per_workload.push(phase_entry(w.name, &phases));
+/// Runs the bench suite called `name`, prints its table, and returns
+/// the exit code: 1 without writing when the suite's gate fails, 0 after
+/// writing its artifact, 2 for an unknown suite.
+fn bench_command(name: &str, jobs: Jobs) -> i32 {
+    let Some(suite) = greenweb_bench::suites::find(name) else {
+        let names: Vec<&str> = greenweb_bench::suites::SUITES
+            .iter()
+            .map(|suite| suite.name)
+            .collect();
+        eprintln!("unknown bench suite {name:?} (expected one of {names:?})");
+        return 2;
+    };
+    let run = (suite.run)(jobs);
+    print!("{}", run.text);
+    if let Err(e) = run.gate {
+        eprintln!(
+            "{} bench gate failed: {e}; {} not written",
+            suite.name, suite.artifact
+        );
+        return 1;
     }
-    let json = format!(
-        "{{\"suite\":\"micro\",\"cells\":{},\"hardware_parallelism\":{},\"jobs\":{},\
-         \"serial_s\":{serial_s:.3},\"parallel_s\":{parallel_s:.3},\"speedup\":{:.2},\
-         \"identical\":{identical},\
-         \"clock\":\"sim\",\"phases_ms\":[{}],\
-         \"phases_ms_aggregate\":{}}}\n",
-        workloads.len() * 4,
-        Jobs::auto(),
-        jobs,
-        serial_s / parallel_s.max(1e-9),
-        per_workload.join(","),
-        phase_entry("aggregate", &aggregate),
-    );
-    std::fs::write("BENCH_evaluate.json", &json).expect("write BENCH_evaluate.json");
-    println!(
-        "serial {serial_s:.3}s, {jobs} worker(s) {parallel_s:.3}s, speedup {:.2}x \
-         (results bit-identical); wrote BENCH_evaluate.json",
-        serial_s / parallel_s.max(1e-9)
-    );
-}
-
-/// One `phases_ms` object for `BENCH_evaluate.json`: a workload label
-/// plus its style/layout/paint/script totals in simulated milliseconds.
-fn phase_entry(label: &str, phases: &[f64; 4]) -> String {
-    format!(
-        "{{\"workload\":\"{label}\",\"style\":{:.3},\"layout\":{:.3},\
-         \"paint\":{:.3},\"script\":{:.3}}}",
-        phases[0], phases[1], phases[2], phases[3],
-    )
-}
-
-/// Runs the style microbenchmark suite, asserts the counter-based
-/// acceptance gate (≥ 3× fewer exact matches than naive), and writes
-/// `BENCH_style.json`.
-fn style_bench_report() {
-    use greenweb_bench::stylebench;
-    let report = stylebench::run_suite();
-    print!("{}", report.render_text());
-    assert!(report.identical, "bucketed resolver diverged from naive");
-    assert!(
-        report.match_ratio() >= 3.0,
-        "expected >= 3x fewer exact matches, got {:.2}x",
-        report.match_ratio()
-    );
-    std::fs::write("BENCH_style.json", report.render_json()).expect("write BENCH_style.json");
-    println!("wrote BENCH_style.json");
-}
-
-/// Runs the script-pipeline suite, asserts the compile-once acceptance
-/// gate (compile count ≤ handler count, independent of event volume;
-/// results identical to the tree-walking oracle), and writes
-/// `BENCH_script.json`.
-fn script_bench_report() {
-    use greenweb_bench::scriptbench;
-    let report = scriptbench::run_suite();
-    print!("{}", report.render_text());
-    assert!(report.identical(), "bytecode VM diverged from the oracle");
-    assert!(
-        report.total_compiles() <= report.total_handlers(),
-        "compile count {} exceeds handler count {}",
-        report.total_compiles(),
-        report.total_handlers(),
-    );
-    assert!(
-        report.compiles_event_independent(),
-        "compile work scaled with event count"
-    );
-    std::fs::write("BENCH_script.json", report.render_json()).expect("write BENCH_script.json");
-    println!("wrote BENCH_script.json");
-}
-
-/// Runs the render-pipeline suite, asserts the incremental-rendering
-/// acceptance gate (naive oracle identical; ≥ 3× fewer elements
-/// measured; subtree reuses and partial repaints observed; dirty/damage
-/// counters mode-independent), and writes `BENCH_paint.json`.
-fn paint_bench_report() {
-    use greenweb_bench::paintbench;
-    let report = paintbench::run_suite();
-    print!("{}", report.render_text());
-    assert!(
-        report.identical(),
-        "incremental rendering diverged from the naive oracle"
-    );
-    assert!(
-        report.pricing_mode_independent(),
-        "dirty/damage counters differed between rendering modes"
-    );
-    assert!(
-        report.layout_ratio() >= 3.0,
-        "expected >= 3x fewer elements laid out, got {:.2}x",
-        report.layout_ratio()
-    );
-    assert!(report.total_subtree_reuses() > 0, "no subtree reuses");
-    assert!(report.total_partial_repaints() > 0, "no partial repaints");
-    std::fs::write("BENCH_paint.json", report.render_json()).expect("write BENCH_paint.json");
-    println!("wrote BENCH_paint.json");
+    std::fs::write(suite.artifact, &run.json)
+        .unwrap_or_else(|e| panic!("write {}: {e}", suite.artifact));
+    println!("wrote {}", suite.artifact);
+    0
 }
 
 /// Runs one workload's full trace under GreenWeb-I and prints its

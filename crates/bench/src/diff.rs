@@ -5,11 +5,16 @@
 //! Two documents are walked structurally in parallel: objects by key
 //! union (missing or extra keys are differences), arrays by index,
 //! numbers by *relative* difference against a tolerance, and every
-//! other scalar exactly. Wall-clock-dependent fields (`serial_s`,
-//! `speedup`, …) are excluded by name via [`DiffOptions::ignore`], at
+//! other scalar exactly. Keys that are expected to differ between the
+//! two documents are excluded by name via [`DiffOptions::ignore`], at
 //! any nesting depth. The output is a deterministic list of
 //! human-readable difference lines, so the gate's failure mode is a
 //! diagnosis, not a boolean.
+//!
+//! `evaluate diff` exits 0 when the documents agree, 1 when some field
+//! differs, and 2 when it could not compare at all ([`DiffOptions::from_flags`]
+//! or [`diff_files`] returned an error): a broken invocation or a
+//! truncated file never looks like a regression, nor like a pass.
 
 use greenweb_workloads::sweep::json::JsonValue;
 
@@ -30,6 +35,51 @@ impl Default for DiffOptions {
             ignore: Vec::new(),
         }
     }
+}
+
+impl DiffOptions {
+    /// Builds the options from `evaluate diff`'s `--tolerance` and
+    /// comma-separated `--ignore` flag values.
+    ///
+    /// # Errors
+    ///
+    /// When the tolerance is not a finite, non-negative number: a NaN or
+    /// infinite tolerance would pass any drift.
+    pub fn from_flags(tolerance: &str, ignore: &str) -> Result<Self, String> {
+        let tolerance = tolerance
+            .parse::<f64>()
+            .ok()
+            .filter(|t| t.is_finite() && *t >= 0.0)
+            .ok_or_else(|| {
+                format!("--tolerance must be a finite, non-negative number, got {tolerance:?}")
+            })?;
+        Ok(DiffOptions {
+            tolerance,
+            ignore: ignore
+                .split(',')
+                .filter(|key| !key.is_empty())
+                .map(str::to_string)
+                .collect(),
+        })
+    }
+}
+
+/// Reads the two files `evaluate diff OLD NEW` names and diffs them with
+/// [`diff_json`].
+///
+/// # Errors
+///
+/// When `paths` does not hold exactly two paths, or either file cannot
+/// be read or parsed.
+pub fn diff_files(paths: &[String], options: &DiffOptions) -> Result<Vec<String>, String> {
+    let [old_path, new_path] = paths else {
+        return Err(format!(
+            "expected exactly two paths (evaluate diff OLD.json NEW.json), got {}",
+            paths.len()
+        ));
+    };
+    let read = |path: &String| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    diff_json(&read(old_path)?, &read(new_path)?, options)
 }
 
 /// Parses both documents and returns every field-level difference
@@ -181,9 +231,9 @@ mod tests {
 
     #[test]
     fn ignored_keys_are_skipped_at_any_depth() {
-        let old = r#"{"serial_s":1.0,"inner":{"serial_s":2.0,"keep":3.0}}"#;
-        let new = r#"{"serial_s":9.0,"inner":{"serial_s":8.0,"keep":3.0}}"#;
-        assert!(diff(old, new, 0.0, &["serial_s"]).is_empty());
+        let old = r#"{"label":1.0,"inner":{"label":2.0,"keep":3.0}}"#;
+        let new = r#"{"label":9.0,"inner":{"label":8.0,"keep":3.0}}"#;
+        assert!(diff(old, new, 0.0, &["label"]).is_empty());
         assert_eq!(diff(old, new, 0.0, &[]).len(), 2);
     }
 
@@ -220,5 +270,35 @@ mod tests {
     fn parse_errors_are_reported_not_panicked() {
         assert!(diff_json("{", "{}", &DiffOptions::default()).is_err());
         assert!(diff_json("{}", "nope", &DiffOptions::default()).is_err());
+    }
+
+    #[test]
+    fn tolerance_flag_must_be_finite_and_non_negative() {
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "-0.01", "", "5%"] {
+            let err = DiffOptions::from_flags(bad, "").unwrap_err();
+            assert!(err.contains("--tolerance"), "{bad:?}: {err}");
+        }
+        let options = DiffOptions::from_flags("0", "a,,b").unwrap();
+        assert_eq!(options.tolerance, 0.0);
+        assert_eq!(options.ignore, ["a", "b"]);
+        assert_eq!(DiffOptions::from_flags("0.05", "").unwrap().tolerance, 0.05);
+    }
+
+    #[test]
+    fn file_errors_are_reported_not_panicked() {
+        let options = DiffOptions::default();
+        let path = |name: &str| format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
+        // Wrong operand count.
+        assert!(diff_files(&[path("Cargo.toml")], &options)
+            .unwrap_err()
+            .contains("exactly two paths"));
+        // A missing file names itself.
+        let missing = path("no-such-file.json");
+        let err = diff_files(&[missing.clone(), missing.clone()], &options).unwrap_err();
+        assert!(err.starts_with(&missing), "{err}");
+        // A file that is not JSON (the crate manifest) is a parse error.
+        let manifest = path("Cargo.toml");
+        let err = diff_files(&[manifest.clone(), manifest], &options).unwrap_err();
+        assert!(err.starts_with("old document"), "{err}");
     }
 }

@@ -13,32 +13,37 @@
 //!   flamegraph, and Perfetto-loadable Chrome trace-event export;
 //! * [`diff`] — tolerance-aware JSON comparison behind `evaluate diff`,
 //!   the CI regression gate over `BENCH_evaluate.json`;
-//! * [`stylebench`] — the style microbenchmark suite: naive full-scan vs
-//!   bucketed + Bloom-filtered selector matching with per-phase
-//!   breakdowns (`evaluate bench --suite style`);
-//! * [`scriptbench`] — the script-pipeline suite: compile-once counters
-//!   and the bytecode-VM vs tree-walking-oracle differential over every
-//!   workload (`evaluate bench --suite script`);
-//! * [`paintbench`] — the render-pipeline suite: incremental layout /
-//!   retained-display-list counters vs the naive full-relayout oracle
-//!   over every workload (`evaluate bench --suite paint`);
+//! * [`suites`] — the four bench suites in one table, each with its
+//!   committed `BENCH_*.json` artifact and acceptance gate
+//!   (`evaluate bench --suite NAME`, gated by `tests/bench_artifacts.rs`):
+//!   * [`microbench`] — serial ≡ parallel over the 48-cell micro matrix
+//!     plus per-phase simulated pipeline totals (`micro`);
+//!   * [`stylebench`] — naive full-scan vs bucketed + Bloom-filtered
+//!     selector matching (`style`);
+//!   * [`scriptbench`] — compile-once counters and the bytecode-VM vs
+//!     tree-walking-oracle differential (`script`);
+//!   * [`paintbench`] — incremental layout / retained-display-list
+//!     counters vs the naive full-relayout oracle (`paint`);
 //! * [`render`] — fixed-width text rendering used by the `evaluate`
 //!   binary.
 //!
 //! Run `cargo run --release -p greenweb-bench --bin evaluate -- all` to
-//! print everything; `cargo bench` wraps the same generators in Criterion
-//! benchmarks.
+//! print everything. Every number here is on the simulated clock or a
+//! counter; how fast the simulator itself runs on the host is measured
+//! by the separate `perfbench/` benchmark.
 
 #![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod diff;
 pub mod figures;
+pub mod microbench;
 pub mod paintbench;
 pub mod profile;
 pub mod render;
 pub mod scriptbench;
 pub mod stylebench;
+pub mod suites;
 pub mod tables;
 
 pub use figures::{

@@ -24,11 +24,15 @@
 //!   report identical `dirty_elements` and `damage_items`, the numbers
 //!   the cost model prices.
 
+use crate::suites::{ensure, SuiteReport};
 use greenweb::metrics::RunMetrics;
 use greenweb_engine::{LayoutStats, OraclePair, Oracles, PaintStats, RunSpec, SimReport, Trace};
 use greenweb_workloads::harness::Policy;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+
+/// The gate's floor on the naive / incremental laid-out-element ratio.
+const MIN_LAYOUT_RATIO: f64 = 3.0;
 
 /// One benchmarked workload: render counters from both modes plus the
 /// oracle comparison.
@@ -103,10 +107,49 @@ impl PaintBenchReport {
     pub fn total_partial_repaints(&self) -> u64 {
         self.rows.iter().map(|r| r.paint.partial_repaints).sum()
     }
+}
 
-    /// Renders the deterministic-counter JSON (everything here is a
-    /// counter; there is nothing non-deterministic to exclude).
-    pub fn render_json(&self) -> String {
+impl SuiteReport for PaintBenchReport {
+    /// 12 rows, results identical, pricing counters mode-independent,
+    /// ≥ 3× fewer elements laid out, subtree reuses and partial repaints
+    /// observed, and on every row an oracle that never reused a subtree
+    /// and frames rendered in both modes.
+    fn gate(&self) -> Result<(), String> {
+        let rows = self.rows.len();
+        ensure!(rows == 12, "expected 12 workloads, got {rows} rows");
+        ensure!(
+            self.identical(),
+            "incremental rendering diverged from the naive oracle"
+        );
+        ensure!(
+            self.pricing_mode_independent(),
+            "dirty/damage counters differed between rendering modes"
+        );
+        ensure!(
+            self.layout_ratio() >= MIN_LAYOUT_RATIO,
+            "incremental layout must measure >= {MIN_LAYOUT_RATIO}x fewer elements, \
+             got {:.2}x ({} naive vs {} incremental)",
+            self.layout_ratio(),
+            self.total_naive_laid_out(),
+            self.total_laid_out(),
+        );
+        ensure!(self.total_subtree_reuses() > 0, "no subtree reuses");
+        ensure!(self.total_partial_repaints() > 0, "no partial repaints");
+        for row in &self.rows {
+            let (name, naive) = (&row.name, &row.naive_layout);
+            ensure!(
+                naive.subtree_reuses == 0,
+                "{name}: oracle reused a subtree: {naive:?}"
+            );
+            ensure!(
+                naive.relayouts > 0 && row.layout.relayouts > 0,
+                "{name}: no frames rendered"
+            );
+        }
+        Ok(())
+    }
+
+    fn render_json(&self) -> String {
         let mut out = String::from("{\"suite\":\"paint\",\"rows\":[");
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -148,8 +191,7 @@ impl PaintBenchReport {
         out
     }
 
-    /// Fixed-width text table for the terminal.
-    pub fn render_text(&self) -> String {
+    fn render_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -244,61 +286,4 @@ pub fn run_suite() -> PaintBenchReport {
         });
     }
     PaintBenchReport { rows }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn suite_counters_meet_the_acceptance_gate() {
-        let report = run_suite();
-        assert_eq!(report.rows.len(), 12, "all 12 workloads");
-        assert!(report.identical(), "incremental diverged from the oracle");
-        assert!(
-            report.pricing_mode_independent(),
-            "dirty/damage counters differed between modes"
-        );
-        assert!(
-            report.layout_ratio() >= 3.0,
-            "incremental layout must measure >= 3x fewer elements, got {:.2}x \
-             ({} naive vs {} incremental)",
-            report.layout_ratio(),
-            report.total_naive_laid_out(),
-            report.total_laid_out(),
-        );
-        assert!(report.total_subtree_reuses() > 0, "no subtree reuses");
-        assert!(report.total_partial_repaints() > 0, "no partial repaints");
-        for row in &report.rows {
-            // The oracle never reuses: its stats must show full-document
-            // measurement every frame.
-            assert_eq!(
-                row.naive_layout.subtree_reuses, 0,
-                "{}: oracle reused a subtree: {:?}",
-                row.name, row.naive_layout
-            );
-            assert!(row.layout.relayouts > 0, "{}: no frames rendered", row.name);
-        }
-    }
-
-    #[test]
-    fn suite_counters_are_deterministic() {
-        let a = run_suite();
-        let b = run_suite();
-        for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(ra.layout, rb.layout, "{}", ra.name);
-            assert_eq!(ra.paint, rb.paint, "{}", ra.name);
-            assert_eq!(ra.naive_layout, rb.naive_layout, "{}", ra.name);
-        }
-    }
-
-    #[test]
-    fn json_contains_totals_and_every_row() {
-        let report = run_suite();
-        let json = report.render_json();
-        assert!(json.contains("\"suite\":\"paint\""));
-        assert!(json.contains("\"layout_ratio\""));
-        assert!(json.contains("\"Paper.js\""));
-        assert!(json.ends_with("}\n"));
-    }
 }

@@ -23,6 +23,7 @@
 //!   per workload. The charged op count is compared too (the
 //!   tick-parity contract, end to end).
 
+use crate::suites::{ensure, SuiteReport};
 use greenweb::metrics::RunMetrics;
 use greenweb_engine::{OraclePair, Oracles, RunSpec, ScriptStats, SimReport, Trace};
 use greenweb_workloads::harness::Policy;
@@ -83,10 +84,53 @@ impl ScriptBenchReport {
             .iter()
             .all(|r| r.full.compiles == r.micro.compiles)
     }
+}
 
-    /// Renders the deterministic-counter JSON (everything here is a
-    /// counter; there is nothing non-deterministic to exclude).
-    pub fn render_json(&self) -> String {
+impl SuiteReport for ScriptBenchReport {
+    /// 12 rows, results identical, compiles ≤ handlers and independent
+    /// of event volume, every setup script served precompiled, the VM
+    /// dispatching on every row, and some full trace out-delivering its
+    /// micro trace (else event independence would be vacuous).
+    fn gate(&self) -> Result<(), String> {
+        let rows = self.rows.len();
+        ensure!(rows == 12, "expected 12 workloads, got {rows} rows");
+        ensure!(
+            self.identical(),
+            "bytecode VM diverged from the tree-walking oracle"
+        );
+        ensure!(
+            self.total_compiles() <= self.total_handlers(),
+            "compile count {} exceeds handler count {}",
+            self.total_compiles(),
+            self.total_handlers(),
+        );
+        ensure!(
+            self.compiles_event_independent(),
+            "compile work scaled with event count"
+        );
+        for row in &self.rows {
+            let (name, full) = (&row.name, &row.full);
+            ensure!(
+                full.precompiled_hits == full.programs,
+                "{name}: load path missed the precompiled table: {full:?}"
+            );
+            ensure!(full.dispatches > 0, "{name}: vm never dispatched: {full:?}");
+        }
+        // No fold-win floor: the bundled workload scripts compute from
+        // runtime values (event coordinates, loop counters), so they
+        // legitimately contain no literal subtrees to collapse. The
+        // folding pass is tested in the script crate, on sources built
+        // to exercise it.
+        ensure!(
+            self.rows
+                .iter()
+                .any(|r| r.full.callbacks > r.micro.callbacks),
+            "no workload's full trace out-delivered its micro trace"
+        );
+        Ok(())
+    }
+
+    fn render_json(&self) -> String {
         let mut out = String::from("{\"suite\":\"script\",\"rows\":[");
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -125,8 +169,7 @@ impl ScriptBenchReport {
         out
     }
 
-    /// Fixed-width text table for the terminal.
-    pub fn render_text(&self) -> String {
+    fn render_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -210,75 +253,4 @@ pub fn run_suite() -> ScriptBenchReport {
         });
     }
     ScriptBenchReport { rows }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn suite_counters_meet_the_acceptance_gate() {
-        let report = run_suite();
-        assert_eq!(report.rows.len(), 12, "all 12 workloads");
-        assert!(report.identical(), "vm diverged from the oracle");
-        assert!(
-            report.total_compiles() <= report.total_handlers(),
-            "compile count {} exceeds handler count {}",
-            report.total_compiles(),
-            report.total_handlers(),
-        );
-        assert!(
-            report.compiles_event_independent(),
-            "compile work scaled with event count"
-        );
-        for row in &report.rows {
-            // Every setup script was served from the app's precompiled
-            // bytecode table; the load path walked zero ASTs.
-            assert_eq!(
-                row.full.precompiled_hits, row.full.programs,
-                "{}: load path missed the precompiled table: {:?}",
-                row.name, row.full
-            );
-            assert!(
-                row.full.dispatches > 0,
-                "{}: vm never dispatched: {:?}",
-                row.name,
-                row.full
-            );
-        }
-        // "Event-independent" is only a meaningful claim if the two
-        // traces actually differ in callback volume somewhere.
-        assert!(
-            report
-                .rows
-                .iter()
-                .any(|r| r.full.callbacks > r.micro.callbacks),
-            "no workload's full trace out-delivered its micro trace"
-        );
-        // No fold-win floor here: the bundled workload scripts compute
-        // from runtime values (event coordinates, loop counters), so
-        // they legitimately contain no literal subtrees to collapse.
-        // The folding pass's win/parity assertions live in the script
-        // crate's unit tests, on sources built to exercise it.
-    }
-
-    #[test]
-    fn suite_counters_are_deterministic() {
-        let a = run_suite();
-        let b = run_suite();
-        for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(ra.full, rb.full, "{}", ra.name);
-            assert_eq!(ra.micro, rb.micro, "{}", ra.name);
-        }
-    }
-
-    #[test]
-    fn json_contains_totals_and_every_row() {
-        let report = run_suite();
-        let json = report.render_json();
-        assert!(json.contains("\"suite\":\"script\""));
-        assert!(json.contains("\"compiles_event_independent\""));
-        assert!(json.contains("\"Paper.js\""));
-        assert!(json.ends_with("}\n"));
-    }
 }

@@ -3,34 +3,26 @@
 //! For each of the 12 workloads (plus one seeded synthetic stress
 //! document) the suite resolves every element's style twice — once
 //! through the naive full-scan resolver, once through the bucketed +
-//! Bloom-filtered path — and reports:
-//!
-//! * **deterministic counters**: exact [`Selector::matches`] walks each
-//!   path ran, and how many candidates the ancestor Bloom filter
-//!   rejected before the exact walk. These drive the acceptance gate
-//!   (the bucketed path must run ≥ 3× fewer exact matches than naive
-//!   across the suite) and never vary between runs or machines;
-//! * **per-phase wall-clock timings** (match / cascade / inherit),
-//!   informational only — CI asserts nothing about them.
-//!
-//! The three phases are measured as separate passes over the tree:
-//! `match` runs [`StyleEngine::match_rules`] per element, `cascade`
-//! applies the matched sets without inheritance, and `inherit` re-applies
-//! them threading parent styles in document order (so `inherit` is
-//! cascade *plus* inheritance, not the increment). Every row also
-//! differentially checks `compute_all == compute_all_naive` before any
-//! timing is trusted.
+//! Bloom-filtered path — and reports deterministic counters: exact
+//! [`Selector::matches`] walks each path ran, and how many candidates
+//! the ancestor Bloom filter rejected before the exact walk. The gate
+//! requires the bucketed path to run ≥ 3× fewer exact matches than
+//! naive across the suite. Every row also differentially checks
+//! `compute_all == compute_all_naive`.
 //!
 //! [`Selector::matches`]: greenweb_css::selector::Selector::matches
 
+use crate::suites::{ensure, SuiteReport};
 use greenweb_css::stylesheet::parse_stylesheet;
-use greenweb_css::{ComputedStyle, StyleEngine};
+use greenweb_css::StyleEngine;
 use greenweb_det::DetRng;
-use greenweb_dom::{parse_html, Document, NodeId};
+use greenweb_dom::{parse_html, Document};
 use std::fmt::Write as _;
-use std::time::Instant;
 
-/// One benchmarked document: counters from both paths plus phase timings.
+/// The gate's floor on the naive / bucketed exact-match ratio.
+const MIN_MATCH_RATIO: f64 = 3.0;
+
+/// One benchmarked document: counters from both paths.
 #[derive(Debug, Clone)]
 pub struct StyleBenchRow {
     /// Workload name (or `"synthetic"` for the generated stress row).
@@ -41,19 +33,10 @@ pub struct StyleBenchRow {
     pub rules: usize,
     /// Exact match walks the naive full scan ran.
     pub naive_matches: u64,
-    /// Naive resolve time for the whole tree, in milliseconds.
-    pub naive_ms: f64,
     /// Exact match walks the bucketed path ran.
     pub matches: u64,
     /// Candidates the ancestor Bloom filter rejected.
     pub bloom_rejects: u64,
-    /// Match-phase time (bucketed), in milliseconds.
-    pub match_ms: f64,
-    /// Cascade-phase time (no inheritance), in milliseconds.
-    pub cascade_ms: f64,
-    /// Inheritance pass time (cascade + parent threading), in
-    /// milliseconds.
-    pub inherit_ms: f64,
 }
 
 /// The whole suite: per-document rows plus the aggregate ratio.
@@ -80,10 +63,35 @@ impl StyleBenchReport {
     pub fn match_ratio(&self) -> f64 {
         self.total_naive_matches() as f64 / (self.total_matches().max(1)) as f64
     }
+}
 
-    /// Renders the deterministic-counter JSON (timings included for
-    /// information; all assertions are on the counters).
-    pub fn render_json(&self) -> String {
+impl SuiteReport for StyleBenchReport {
+    /// 13 rows, results identical, ≥ 3× fewer exact matches than naive,
+    /// and Bloom rejections on the synthetic row.
+    fn gate(&self) -> Result<(), String> {
+        let rows = self.rows.len();
+        ensure!(
+            rows == 13,
+            "expected 12 workloads + synthetic, got {rows} rows"
+        );
+        ensure!(self.identical, "bucketed resolver diverged from naive");
+        ensure!(
+            self.match_ratio() >= MIN_MATCH_RATIO,
+            "bucketing must cut exact matches >= {MIN_MATCH_RATIO}x, got {:.2}x \
+             ({} naive vs {} bucketed)",
+            self.match_ratio(),
+            self.total_naive_matches(),
+            self.total_matches(),
+        );
+        let synthetic = &self.rows[12];
+        ensure!(
+            synthetic.bloom_rejects > 0,
+            "no Bloom rejections on the synthetic row: {synthetic:?}"
+        );
+        Ok(())
+    }
+
+    fn render_json(&self) -> String {
         let mut out = String::from("{\"suite\":\"style\",\"rows\":[");
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -92,18 +100,8 @@ impl StyleBenchReport {
             let _ = write!(
                 out,
                 "{{\"workload\":\"{}\",\"nodes\":{},\"rules\":{},\
-                 \"naive_matches\":{},\"matches\":{},\"bloom_rejects\":{},\
-                 \"naive_ms\":{:.3},\"match_ms\":{:.3},\"cascade_ms\":{:.3},\"inherit_ms\":{:.3}}}",
-                row.name,
-                row.nodes,
-                row.rules,
-                row.naive_matches,
-                row.matches,
-                row.bloom_rejects,
-                row.naive_ms,
-                row.match_ms,
-                row.cascade_ms,
-                row.inherit_ms,
+                 \"naive_matches\":{},\"matches\":{},\"bloom_rejects\":{}}}",
+                row.name, row.nodes, row.rules, row.naive_matches, row.matches, row.bloom_rejects,
             );
         }
         let _ = writeln!(
@@ -119,42 +117,23 @@ impl StyleBenchReport {
         out
     }
 
-    /// Fixed-width text table for the terminal.
-    pub fn render_text(&self) -> String {
+    fn render_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
             "style microbenchmark: naive full scan vs bucketed + Bloom \
-             (counters deterministic; timings informational)"
+             (all counters deterministic)"
         );
         let _ = writeln!(
             out,
-            "{:<11} {:>5} {:>5} {:>9} {:>8} {:>7} {:>9} {:>9} {:>10} {:>10}",
-            "workload",
-            "nodes",
-            "rules",
-            "naive-m",
-            "fast-m",
-            "bloom",
-            "naive ms",
-            "match ms",
-            "cascade ms",
-            "inherit ms"
+            "{:<11} {:>5} {:>5} {:>9} {:>8} {:>7}",
+            "workload", "nodes", "rules", "naive-m", "fast-m", "bloom"
         );
         for row in &self.rows {
             let _ = writeln!(
                 out,
-                "{:<11} {:>5} {:>5} {:>9} {:>8} {:>7} {:>9.3} {:>9.3} {:>10.3} {:>10.3}",
-                row.name,
-                row.nodes,
-                row.rules,
-                row.naive_matches,
-                row.matches,
-                row.bloom_rejects,
-                row.naive_ms,
-                row.match_ms,
-                row.cascade_ms,
-                row.inherit_ms,
+                "{:<11} {:>5} {:>5} {:>9} {:>8} {:>7}",
+                row.name, row.nodes, row.rules, row.naive_matches, row.matches, row.bloom_rejects,
             );
         }
         let _ = writeln!(
@@ -174,63 +153,33 @@ impl StyleBenchReport {
     }
 }
 
-fn elements_in_order(doc: &Document) -> Vec<NodeId> {
-    doc.descendants(doc.root())
-        .filter(|&n| doc.element(n).is_some())
-        .collect()
-}
-
 /// Benchmarks one parsed document against one stylesheet engine.
 fn bench_document(name: &str, doc: &Document, engine: &StyleEngine) -> (StyleBenchRow, bool) {
-    let nodes = elements_in_order(doc);
-
-    // Differential check first: the timings mean nothing if the paths
-    // disagree.
     let identical = engine.compute_all(doc) == engine.compute_all_naive(doc);
 
-    // Naive pass: counters + one wall-clock number.
     engine.reset_stats();
-    let started = Instant::now();
     let _ = engine.compute_all_naive(doc);
-    let naive_ms = started.elapsed().as_secs_f64() * 1e3;
     let naive_matches = engine.stats().naive_matches;
 
-    // Bucketed passes, phase by phase. Counters accumulate only in the
-    // match phase (cascade/inherit reuse the matched sets).
+    // The bucketed path's counters accrue in the match phase alone.
     engine.reset_stats();
-    let started = Instant::now();
-    let matched: Vec<_> = nodes.iter().map(|&n| engine.match_rules(doc, n)).collect();
-    let match_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let started = Instant::now();
-    for (&node, matched) in nodes.iter().zip(&matched) {
-        let _ = engine.cascade_matched(doc, node, matched, None);
+    let mut nodes = 0;
+    for node in doc.descendants(doc.root()) {
+        if doc.element(node).is_some() {
+            let _ = engine.match_rules(doc, node);
+            nodes += 1;
+        }
     }
-    let cascade_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let started = Instant::now();
-    let mut styles: std::collections::HashMap<NodeId, ComputedStyle> =
-        std::collections::HashMap::new();
-    for (&node, matched) in nodes.iter().zip(&matched) {
-        let parent_style = doc.parent(node).and_then(|p| styles.get(&p)).cloned();
-        let style = engine.cascade_matched(doc, node, matched, parent_style.as_ref());
-        styles.insert(node, style);
-    }
-    let inherit_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let stats = engine.stats();
     (
         StyleBenchRow {
             name: name.to_string(),
-            nodes: nodes.len(),
+            nodes,
             rules: engine.stylesheet().rules().len(),
             naive_matches,
-            naive_ms,
             matches: stats.matches,
             bloom_rejects: stats.bloom_rejects,
-            match_ms,
-            cascade_ms,
-            inherit_ms,
         },
         identical,
     )
@@ -319,48 +268,4 @@ pub fn run_suite() -> StyleBenchReport {
     identical &= ok;
     rows.push(row);
     StyleBenchReport { rows, identical }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn suite_counters_meet_the_acceptance_gate() {
-        let report = run_suite();
-        assert_eq!(report.rows.len(), 13, "12 workloads + synthetic");
-        assert!(report.identical, "bucketed path diverged from naive");
-        assert!(
-            report.match_ratio() >= 3.0,
-            "bucketing must cut exact matches >= 3x, got {:.2}x \
-             ({} naive vs {} bucketed)",
-            report.match_ratio(),
-            report.total_naive_matches(),
-            report.total_matches(),
-        );
-        // The synthetic row must actually exercise the Bloom filter.
-        let synth = report.rows.last().expect("synthetic row");
-        assert!(synth.bloom_rejects > 0, "no Bloom rejections: {synth:?}");
-    }
-
-    #[test]
-    fn suite_counters_are_deterministic() {
-        let a = run_suite();
-        let b = run_suite();
-        for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(ra.naive_matches, rb.naive_matches, "{}", ra.name);
-            assert_eq!(ra.matches, rb.matches, "{}", ra.name);
-            assert_eq!(ra.bloom_rejects, rb.bloom_rejects, "{}", ra.name);
-        }
-    }
-
-    #[test]
-    fn json_contains_totals_and_every_row() {
-        let report = run_suite();
-        let json = report.render_json();
-        assert!(json.contains("\"suite\":\"style\""));
-        assert!(json.contains("\"match_ratio\""));
-        assert!(json.contains("\"synthetic\""));
-        assert!(json.ends_with("}\n"));
-    }
 }

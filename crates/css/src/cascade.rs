@@ -273,8 +273,8 @@ impl StyleEngine {
 
     /// The rules matching `node` as `(rule index, best specificity)`
     /// pairs in ascending rule order — the bucketed *match* phase in
-    /// isolation, exposed so benchmarks can time it apart from the
-    /// cascade phase.
+    /// isolation, exposed so the style bench can count its exact
+    /// matches apart from the cascade phase.
     pub fn match_rules(&self, doc: &Document, node: NodeId) -> Vec<(usize, Specificity)> {
         let mut stats = self.stats.get();
         stats.resolves += 1;
@@ -342,20 +342,6 @@ impl StyleEngine {
         }
         self.stats.set(stats);
         matched
-    }
-
-    /// Applies an already-matched rule set to `node` — the *cascade*
-    /// phase in isolation (sort by priority/specificity/order, then
-    /// inheritance, stylesheet, inline, `!important` layers). Exposed
-    /// for benchmarks; [`StyleEngine::compute_style`] is the fused path.
-    pub fn cascade_matched(
-        &self,
-        doc: &Document,
-        node: NodeId,
-        matched: &[(usize, Specificity)],
-        parent_style: Option<&ComputedStyle>,
-    ) -> ComputedStyle {
-        self.apply(doc, node, matched, parent_style, true)
     }
 
     fn apply(

@@ -47,6 +47,7 @@ pub use supervise::{
 };
 
 use greenweb_engine::{BrowserError, RunOutcome, RunSpec};
+use std::env::VarError;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,10 +80,26 @@ impl Jobs {
 
     /// [`Jobs::auto`], unless the `GREENWEB_JOBS` environment variable
     /// names an explicit count.
+    ///
+    /// # Panics
+    ///
+    /// When `GREENWEB_JOBS` is set to anything but a positive integer:
+    /// a typo must not silently change the worker count a parity pass
+    /// runs at.
     pub fn from_env() -> Self {
-        match std::env::var(JOBS_ENV) {
-            Ok(value) => value.parse().unwrap_or_else(|_| Self::auto()),
-            Err(_) => Self::auto(),
+        Self::from_var(std::env::var(JOBS_ENV))
+    }
+
+    /// [`Jobs::from_env`] on an already-read variable.
+    fn from_var(var: Result<String, VarError>) -> Self {
+        match var {
+            Err(VarError::NotPresent) => Self::auto(),
+            Ok(value) => value
+                .parse()
+                .unwrap_or_else(|e| panic!("{JOBS_ENV}={value:?} is not a positive integer: {e}")),
+            Err(VarError::NotUnicode(value)) => {
+                panic!("{JOBS_ENV}={value:?} is not a positive integer")
+            }
         }
     }
 
@@ -106,8 +123,9 @@ impl Default for Jobs {
 impl FromStr for Jobs {
     type Err = std::num::ParseIntError;
 
+    /// Parses a positive worker count; zero is an error, not one.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Ok(Jobs::new(s.trim().parse::<usize>()?))
+        s.trim().parse().map(Jobs)
     }
 }
 
@@ -191,10 +209,38 @@ mod tests {
         assert_eq!("4".parse::<Jobs>().unwrap().count(), 4);
         assert_eq!(" 2 ".parse::<Jobs>().unwrap().count(), 2);
         assert!("x".parse::<Jobs>().is_err());
+        assert!("0".parse::<Jobs>().is_err());
+        assert!("".parse::<Jobs>().is_err());
+        assert!("-2".parse::<Jobs>().is_err());
         assert_eq!(Jobs::new(0).count(), 1);
         assert!(Jobs::serial().is_serial());
         assert!(Jobs::auto().count() >= 1);
         assert_eq!(Jobs::new(3).to_string(), "3");
+    }
+
+    #[test]
+    fn jobs_env_value_is_parsed_strictly() {
+        assert_eq!(Jobs::from_var(Err(VarError::NotPresent)), Jobs::auto());
+        assert_eq!(Jobs::from_var(Ok("3".into())).count(), 3);
+        assert_eq!(Jobs::from_var(Ok(" 1\n".into())), Jobs::serial());
+    }
+
+    #[test]
+    #[should_panic(expected = "GREENWEB_JOBS=\"0\" is not a positive integer")]
+    fn jobs_env_zero_panics() {
+        Jobs::from_var(Ok("0".into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "GREENWEB_JOBS=\"two\" is not a positive integer")]
+    fn jobs_env_malformed_value_panics() {
+        Jobs::from_var(Ok("two".into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "GREENWEB_JOBS=\"\" is not a positive integer")]
+    fn jobs_env_empty_value_panics() {
+        Jobs::from_var(Ok(String::new()));
     }
 
     #[test]
